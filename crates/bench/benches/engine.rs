@@ -10,21 +10,25 @@
 //!   Same durability guarantee, amortized cost.
 //! * `engine/tcp` — pipelined upload rounds over live TCP connections
 //!   against the thread-per-connection engine versus the worker pool.
+//! * `engine/rotation_under_load` — per-append cost while segments roll
+//!   constantly, with the closing segment's fsync inline on the append
+//!   path versus deferred to a disk-scheduler commit pass.
 
 use std::hint::black_box;
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use uucs_harness::bench::quick_mode;
 use uucs_harness::{bench_group, bench_main, Criterion, TempDir, Throughput};
 use uucs_protocol::wire::{read_server_msg, write_client_msg, Endpoint};
 use uucs_protocol::{
-    ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg,
+    ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg, WalEntry,
 };
 use uucs_server::tcp::{self, EngineMode, ServeConfig};
-use uucs_server::{StoreSet, UucsServer};
-use uucs_wal::{SyncPolicy, WalConfig};
+use uucs_server::{DiskScheduler, StoreSet, UucsServer};
+use uucs_wal::{StdIo, SyncPolicy, Wal, WalConfig};
 
 fn record(client: &str, i: usize) -> RunRecord {
     RunRecord {
@@ -194,5 +198,56 @@ fn tcp_round(c: &mut Criterion) {
     group.finish();
 }
 
-bench_group!(benches, fsync, tcp_round);
+/// Spawns the bench's stand-in for the group committer: a pacer thread
+/// that submits one `sync` pass to the disk scheduler per interval and
+/// waits it out — the same fsync cadence either way, so the only
+/// difference between the variants below is *where* rotation fsyncs
+/// run.
+fn start_committer(
+    wal: Arc<Mutex<Wal<StdIo>>>,
+    sched: Arc<DiskScheduler>,
+    stop: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        while !stop.load(Ordering::Relaxed) {
+            std::thread::sleep(Duration::from_micros(200));
+            let wal = wal.clone();
+            let ticket = sched.submit(move || wal.lock().unwrap().sync().map(|()| 0));
+            let _ = ticket.wait();
+        }
+    })
+}
+
+/// Per-append cost on the handler thread while 1 KiB segments roll
+/// constantly, with a committer pass fsyncing every 200µs in both
+/// variants. Inline, the appends that rotate pay the closing segment's
+/// fsync themselves; deferred, they pay create+header and the fsync
+/// rides the committer's scheduled pass — the tail (and the amortized
+/// median) of the append path is what the scheduler buys.
+fn rotation_under_load(c: &mut Criterion) {
+    let cfg = WalConfig {
+        segment_bytes: 1024,
+        sync: SyncPolicy::Never,
+    };
+    let entry = WalEntry::Result(record("client-0001", 0)).encode();
+    let mut group = c.benchmark_group("engine/rotation_under_load");
+    group.sample_size(10);
+    for (name, defer) in [("inline_sync", false), ("deferred_sched", true)] {
+        group.bench_function(name, |b| {
+            let tmp = TempDir::new("uucs-bench-engine-rot");
+            let (mut wal, _) = Wal::open(StdIo::new(), tmp.path(), cfg).unwrap();
+            wal.set_deferred_rotation_sync(defer);
+            let wal = Arc::new(Mutex::new(wal));
+            let sched = Arc::new(DiskScheduler::new(1, 64));
+            let stop = Arc::new(AtomicBool::new(false));
+            let committer = start_committer(wal.clone(), sched.clone(), stop.clone());
+            b.iter(|| black_box(wal.lock().unwrap().append(&entry).unwrap()));
+            stop.store(true, Ordering::Relaxed);
+            committer.join().unwrap();
+        });
+    }
+    group.finish();
+}
+
+bench_group!(benches, fsync, tcp_round, rotation_under_load);
 bench_main!(benches);

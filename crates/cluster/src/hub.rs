@@ -31,7 +31,6 @@ use uucs_protocol::repl::{read_repl_msg, write_repl_msg, ReplMsg};
 use uucs_protocol::WalEntry;
 use uucs_server::{shard_of, ReplicationSink, UucsServer};
 use uucs_telemetry::{metrics, Counter, Gauge};
-use uucs_pagecache::CachedIo;
 use uucs_wal::{StdIo, SyncPolicy, Wal, WalConfig};
 
 /// When the leader acknowledges a client-visible mutation.
@@ -70,11 +69,6 @@ pub struct HubConfig {
     /// Replication-log segment size (small values force rotation in
     /// tests; see the backfill edge-case suite).
     pub segment_bytes: u64,
-    /// ARC page-cache capacity (in 4 KiB pages, per shard log) for the
-    /// shipping logs. Follower catch-up and snapshot-then-tail backfill
-    /// re-read recent segments over and over; a warm cache serves those
-    /// from memory. 0 disables (strict passthrough).
-    pub cache_pages: usize,
 }
 
 impl Default for HubConfig {
@@ -83,7 +77,6 @@ impl Default for HubConfig {
             ack: AckMode::Local,
             ack_timeout: Duration::from_secs(2),
             segment_bytes: 1 << 20,
-            cache_pages: 256,
         }
     }
 }
@@ -116,7 +109,7 @@ pub struct ReplHub {
     node: String,
     shards: usize,
     config: HubConfig,
-    logs: Vec<Mutex<Wal<CachedIo<StdIo>>>>,
+    logs: Vec<Mutex<Wal<StdIo>>>,
     /// Mirror of each log's `next_lsn`, readable without the log lock.
     next_seq: Vec<AtomicU64>,
     /// Sequences below this are folded into the log's checkpoint and no
@@ -158,13 +151,8 @@ impl ReplHub {
         for i in 0..shards {
             let shard_dir = dir.join(format!("shard-{i:03}"));
             std::fs::create_dir_all(&shard_dir)?;
-            let io = if config.cache_pages > 0 {
-                CachedIo::new(StdIo::new(), config.cache_pages, 4096)
-            } else {
-                CachedIo::passthrough(StdIo::new())
-            };
             let (wal, recovery) = Wal::open(
-                io,
+                StdIo::new(),
                 shard_dir,
                 WalConfig {
                     segment_bytes: config.segment_bytes,

@@ -160,7 +160,6 @@ impl ClusterNode {
                 ack: config.ack,
                 ack_timeout: config.ack_timeout,
                 segment_bytes: config.segment_bytes,
-                ..HubConfig::default()
             },
         )?;
         hub.set_server(Arc::clone(&server));

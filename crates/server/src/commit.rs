@@ -24,12 +24,12 @@
 //! handler answers with a protocol error instead of an ack, exactly as
 //! a failed synchronous append did before.
 
+use crate::disk::DiskScheduler;
 use crate::shard::StoreSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use uucs_pagecache::{DiskScheduler, OpKind};
 use uucs_telemetry::{metrics, Counter, Histogram};
 use uucs_wal::Lsn;
 
@@ -347,9 +347,7 @@ impl GroupCommitter {
                     .map(|&(slot, since)| {
                         let (flavor, shard) = self.flavor_shard(slot);
                         let stores = self.stores.clone();
-                        let ticket = sched.submit(OpKind::Fsync, move || {
-                            Self::sync_store(&stores, flavor, shard)
-                        });
+                        let ticket = sched.submit(move || Self::sync_store(&stores, flavor, shard));
                         (slot, since, ticket)
                     })
                     .collect();

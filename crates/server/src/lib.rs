@@ -30,16 +30,16 @@
 #![forbid(unsafe_code)]
 
 pub mod commit;
+pub mod disk;
 pub mod models;
 pub mod server;
 pub mod shard;
-pub mod storage;
 pub mod store;
 pub mod tcp;
 
 pub use commit::{CommitTicket, GroupCommitter, StoreFlavor};
+pub use disk::{DiskScheduler, StorageProfile};
 pub use models::ModelStore;
 pub use server::{ReplicationSink, UucsServer};
 pub use shard::{shard_of, Sharded, StoreSet};
-pub use storage::{StorageProfile, StoreIo};
 pub use store::{BatchStatus, RegistryStore, ResultStore, StoreError, TestcaseStore};

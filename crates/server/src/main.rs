@@ -4,8 +4,7 @@
 //! ```text
 //! uucs-server [--addr 127.0.0.1:4004] [--library FILE] [--data DIR]
 //!             [--generate-library N-seed] [--wal] [--sync POLICY]
-//!             [--shards N] [--commit-interval-us N]
-//!             [--cache-pages N] [--io-threads N]
+//!             [--shards N] [--commit-interval-us N] [--io-threads N]
 //!             [--max-conns N] [--workers N] [--engine pool|threads]
 //! ```
 //!
@@ -33,11 +32,6 @@
 //!   fsyncing individually and a dedicated commit thread batches all
 //!   pending appends into one fsync per shard every N microseconds.
 //!   Acks still wait for the fsync — same durability, amortized cost.
-//! * `--cache-pages N` puts an ARC page cache (N pages per store
-//!   flavor, `uucs-pagecache`) under every journal: write-through (no
-//!   durability change), read-cached (recovery replays, reshard
-//!   migrations and compaction scans hit memory when warm). 0 (the
-//!   default) is a strict passthrough.
 //! * `--io-threads N` starts the disk-scheduler thread pool: group
 //!   commit fans its per-shard fsyncs out to it, and segment rotation
 //!   defers its fsync to the next commit pass instead of stalling the
@@ -119,13 +113,6 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--cache-pages" => {
-                i += 1;
-                storage.cache_pages = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("bad --cache-pages (want a page count, 0 disables)");
-                    std::process::exit(2);
-                });
-            }
             "--io-threads" => {
                 i += 1;
                 storage.io_threads = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
@@ -178,10 +165,6 @@ fn main() {
         eprintln!("--io-threads needs --commit-interval-us (the committer drives the scheduler)");
         std::process::exit(2);
     }
-    if storage.cache_pages > 0 && !wal {
-        eprintln!("--cache-pages needs --wal (the cache sits under the journals)");
-        std::process::exit(2);
-    }
 
     // Surface the engine configuration in STATS so fleet drivers can
     // confirm what they are actually talking to.
@@ -189,7 +172,6 @@ fn main() {
     metrics::gauge("server.config.max_connections").set(serve_config.max_connections as i64);
     metrics::gauge("server.config.workers").set(serve_config.workers as i64);
     metrics::gauge("server.config.commit_interval_us").set(commit_interval_us as i64);
-    metrics::gauge("server.config.cache_pages").set(storage.cache_pages as i64);
     metrics::gauge("server.config.io_threads").set(storage.io_threads as i64);
     metrics::gauge("server.config.engine_pool").set(i64::from(matches!(
         serve_config.engine,
@@ -227,7 +209,7 @@ fn main() {
             ..WalConfig::default()
         };
         eprintln!("recovering journals under {:?} ({shards} shard(s)) ...", data.join("wal"));
-        let (stores, recoveries) = StoreSet::open_with(&data.join("wal"), config, shards, &storage)
+        let (stores, recoveries) = StoreSet::open(&data.join("wal"), config, shards)
             .unwrap_or_else(|e| {
                 eprintln!("journal is unrecoverable: {e}");
                 std::process::exit(1);

@@ -24,8 +24,7 @@ use std::sync::OnceLock;
 use uucs_modelsvc::{ComfortModel, Observation, QuantileSketch};
 use uucs_protocol::{RunOutcome, RunRecord, WalEntry};
 use uucs_telemetry::{metrics, Counter, Gauge, Histogram};
-use crate::storage::{plain_io, StoreIo};
-use uucs_wal::{Recovery, Wal, WalConfig};
+use uucs_wal::{Recovery, StdIo, Wal, WalConfig};
 
 /// Telemetry handles for the model service, registered once.
 struct ModelMetrics {
@@ -90,7 +89,7 @@ struct CachedMerge {
 /// and the per-epoch query cache.
 pub struct ModelStore {
     model: ComfortModel,
-    wal: Option<Wal<StoreIo>>,
+    wal: Option<Wal<StdIo>>,
     /// Merged-query cache keyed by `(resource name, task)`. Interior
     /// mutability because queries come in through read locks; entries
     /// are invalidated by epoch tag, not eviction.
@@ -117,17 +116,7 @@ impl ModelStore {
     /// the journal under `dir` (snapshot = full model, entries = epoch
     /// deltas) and journals every subsequent update before applying it.
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        Self::open_wal_with(plain_io(), dir, config)
-    }
-
-    /// [`ModelStore::open_wal`] over an explicit I/O backend (see
-    /// [`crate::storage::StorageProfile::store_io`]).
-    pub fn open_wal_with(
-        io: StoreIo,
-        dir: &Path,
-        config: WalConfig,
-    ) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(io, dir, config)?;
+        let (mut wal, mut recovery) = Wal::open(StdIo::new(), dir, config)?;
         WalTelemetry::install(&mut wal, "model");
         let mut model = ComfortModel::new();
         if let Some(snap) = recovery.snapshot.take() {

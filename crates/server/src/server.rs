@@ -12,6 +12,7 @@
 //! `Ack` means "journaled on stable storage".
 
 use crate::commit::{CommitTicket, GroupCommitter, StoreFlavor};
+use crate::disk::DiskScheduler;
 use crate::models::{observations_of, ModelStore};
 use crate::shard::{Sharded, StoreSet};
 use crate::store::{BatchStatus, RegistryStore, ResultStore, StoreError, TestcaseStore};
@@ -21,7 +22,6 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use uucs_modelsvc::{ComfortModel, QuantileSketch};
-use uucs_pagecache::DiskScheduler;
 use uucs_protocol::wire::Endpoint;
 use uucs_protocol::{ClientMsg, MachineSnapshot, ServerMsg, WalEntry, WIRE_VERSION_BINARY};
 use uucs_stats::Pcg64;
@@ -325,18 +325,13 @@ impl UucsServer {
     }
 
     /// Installs the disk-scheduler thread pool (see
-    /// [`crate::storage::StorageProfile::scheduler`]). Must run before
+    /// [`crate::disk::StorageProfile::scheduler`]). Must run before
     /// [`UucsServer::with_group_commit`]: the committer captures it,
     /// fans per-shard fsyncs out to its threads, and store WALs defer
     /// segment-rotation fsyncs to the committer's passes.
     pub fn with_io_scheduler(mut self, scheduler: Arc<DiskScheduler>) -> Self {
         self.io_scheduler = Some(scheduler);
         self
-    }
-
-    /// The installed disk scheduler, if any.
-    pub fn io_scheduler(&self) -> Option<Arc<DiskScheduler>> {
-        self.io_scheduler.clone()
     }
 
     /// The group-commit coordinator, when enabled — the worker-pool

@@ -25,8 +25,8 @@
 //! exactly one logical state — the property the reshard recovery test
 //! pins down.
 
+use crate::disk::StorageProfile;
 use crate::models::ModelStore;
-use crate::storage::{StorageProfile, StoreIo};
 use crate::store::{invalid, RegistryStore, ResultStore, TestcaseStore};
 use std::collections::BTreeMap;
 use std::io;
@@ -193,10 +193,8 @@ fn write_ready(layout_dir: &Path, generation: u64) -> io::Result<()> {
 trait ShardFamily: Sized {
     /// The merged logical state of the whole family, hash-partitionable.
     type State;
-    /// Opens (replaying) one shard's WAL directory over the family's
-    /// shared I/O backend (every shard of a flavor shares one page
-    /// cache; a passthrough backend costs nothing).
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)>;
+    /// Opens (replaying) one shard's WAL directory.
+    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)>;
     /// Merges recovered source shards into the family's logical state.
     fn extract(stores: Vec<Self>) -> io::Result<Self::State>;
     /// Loads shard `shard`-of-`n`'s partition of `state` into a fresh
@@ -213,7 +211,6 @@ fn open_sharded<F: ShardFamily>(
     dir: &Path,
     cfg: WalConfig,
     n: usize,
-    io: &StoreIo,
 ) -> io::Result<(Sharded<F>, Vec<Recovery>)> {
     if n == 0 {
         return Err(invalid("shard count must be at least 1"));
@@ -226,7 +223,7 @@ fn open_sharded<F: ShardFamily>(
     // Fast path: one shard, nothing ever sharded — the legacy flat WAL,
     // byte-compatible with pre-sharding data directories.
     if n == 1 && current.is_none() {
-        let (store, rec) = F::open_dir(io.clone(), dir, cfg)?;
+        let (store, rec) = F::open_dir(dir, cfg)?;
         return Ok((Sharded::new(vec![store]), vec![rec]));
     }
 
@@ -237,13 +234,13 @@ fn open_sharded<F: ShardFamily>(
             Some(cur) => {
                 let mut sources = Vec::with_capacity(cur.shards);
                 for i in 0..cur.shards {
-                    let (s, _) = F::open_dir(io.clone(), &cur.path.join(shard_dirname(i)), cfg)?;
+                    let (s, _) = F::open_dir(&cur.path.join(shard_dirname(i)), cfg)?;
                     sources.push(s);
                 }
                 Some(F::extract(sources)?)
             }
             None if has_flat_files(dir)? => {
-                let (s, _) = F::open_dir(io.clone(), dir, cfg)?;
+                let (s, _) = F::open_dir(dir, cfg)?;
                 Some(F::extract(vec![s])?)
             }
             None => None,
@@ -253,7 +250,7 @@ fn open_sharded<F: ShardFamily>(
             std::fs::remove_dir_all(&target)?;
         }
         for i in 0..n {
-            let (mut s, _) = F::open_dir(io.clone(), &target.join(shard_dirname(i)), cfg)?;
+            let (mut s, _) = F::open_dir(&target.join(shard_dirname(i)), cfg)?;
             if let Some(state) = &state {
                 s.load_part(state, i, n)?;
             }
@@ -284,7 +281,7 @@ fn open_sharded<F: ShardFamily>(
     let mut stores = Vec::with_capacity(n);
     let mut recoveries = Vec::with_capacity(n);
     for i in 0..n {
-        let (s, r) = F::open_dir(io.clone(), &target.join(shard_dirname(i)), cfg)?;
+        let (s, r) = F::open_dir(&target.join(shard_dirname(i)), cfg)?;
         stores.push(s);
         recoveries.push(r);
     }
@@ -294,8 +291,8 @@ fn open_sharded<F: ShardFamily>(
 impl ShardFamily for TestcaseStore {
     type State = Vec<uucs_testcase::Testcase>;
 
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        TestcaseStore::open_wal_with(io, dir, cfg)
+    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
+        TestcaseStore::open_wal(dir, cfg)
     }
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
@@ -322,8 +319,8 @@ impl ShardFamily for TestcaseStore {
 impl ShardFamily for ResultStore {
     type State = (Vec<uucs_protocol::RunRecord>, BTreeMap<String, u64>);
 
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        ResultStore::open_wal_with(io, dir, cfg)
+    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
+        ResultStore::open_wal(dir, cfg)
     }
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
@@ -371,8 +368,8 @@ impl ShardFamily for RegistryStore {
         Vec<(String, String)>,
     );
 
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        RegistryStore::open_wal_with(io, dir, cfg)
+    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
+        RegistryStore::open_wal(dir, cfg)
     }
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
@@ -416,8 +413,8 @@ pub(crate) fn cohort_key_token(key: &CohortKey) -> String {
 impl ShardFamily for ModelStore {
     type State = (u64, BTreeMap<CohortKey, QuantileSketch>);
 
-    fn open_dir(io: StoreIo, dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        ModelStore::open_wal_with(io, dir, cfg)
+    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
+        ModelStore::open_wal(dir, cfg)
     }
 
     fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
@@ -510,46 +507,13 @@ impl StoreSet {
     /// (testcases, then results, registry, models) for torn-tail
     /// reporting.
     pub fn open(dir: &Path, cfg: WalConfig, shards: usize) -> io::Result<(Self, Vec<Recovery>)> {
-        Self::open_with(dir, cfg, shards, &StorageProfile::default())
-    }
-
-    /// [`StoreSet::open`] under an explicit [`StorageProfile`]: each
-    /// family's shards share one flavor-labelled page cache, so warm
-    /// recovery replays, reshard migrations, and compaction scans are
-    /// served from memory. The default profile is a passthrough —
-    /// byte- and syscall-identical to [`StoreSet::open`] before it.
-    pub fn open_with(
-        dir: &Path,
-        cfg: WalConfig,
-        shards: usize,
-        profile: &StorageProfile,
-    ) -> io::Result<(Self, Vec<Recovery>)> {
-        let (testcases, mut recs) = open_sharded::<TestcaseStore>(
-            &dir.join("testcases"),
-            cfg,
-            shards,
-            &profile.store_io("testcases"),
-        )?;
-        let (results, r) = open_sharded::<ResultStore>(
-            &dir.join("results"),
-            cfg,
-            shards,
-            &profile.store_io("results"),
-        )?;
+        let (testcases, mut recs) =
+            open_sharded::<TestcaseStore>(&dir.join("testcases"), cfg, shards)?;
+        let (results, r) = open_sharded::<ResultStore>(&dir.join("results"), cfg, shards)?;
         recs.extend(r);
-        let (registry, r) = open_sharded::<RegistryStore>(
-            &dir.join("registry"),
-            cfg,
-            shards,
-            &profile.store_io("registry"),
-        )?;
+        let (registry, r) = open_sharded::<RegistryStore>(&dir.join("registry"), cfg, shards)?;
         recs.extend(r);
-        let (models, r) = open_sharded::<ModelStore>(
-            &dir.join("models"),
-            cfg,
-            shards,
-            &profile.store_io("model"),
-        )?;
+        let (models, r) = open_sharded::<ModelStore>(&dir.join("models"), cfg, shards)?;
         recs.extend(r);
         Ok((
             StoreSet {
@@ -560,6 +524,19 @@ impl StoreSet {
             },
             recs,
         ))
+    }
+
+    /// Equivalent to [`StoreSet::open`]: every store journals over
+    /// plain files whatever the profile says. The profile only provisions
+    /// the disk scheduler ([`StorageProfile::scheduler`]), which the
+    /// server, not the stores, installs.
+    pub fn open_with(
+        dir: &Path,
+        cfg: WalConfig,
+        shards: usize,
+        _profile: &StorageProfile,
+    ) -> io::Result<(Self, Vec<Recovery>)> {
+        Self::open(dir, cfg, shards)
     }
 
     /// Flips deferred rotation sync on every shard of every family —
@@ -593,7 +570,6 @@ impl StoreSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::plain_io;
     use uucs_harness::TempDir;
     use uucs_protocol::{MachineSnapshot, MonitorSummary, RunOutcome, RunRecord};
     use uucs_testcase::{ExerciseSpec, Resource, Testcase};
@@ -652,7 +628,7 @@ mod tests {
     fn single_shard_uses_legacy_flat_layout() {
         let dir = TempDir::new("uucs-shard-flat");
         {
-            let (tcs, _) = open_sharded::<TestcaseStore>(dir.path(), cfg(), 1, &plain_io()).unwrap();
+            let (tcs, _) = open_sharded::<TestcaseStore>(dir.path(), cfg(), 1).unwrap();
             tcs.write_recovered(0).add(tc("a")).unwrap();
         }
         // The flat files live directly in the dir — same as pre-sharding.
@@ -667,14 +643,14 @@ mod tests {
         let dir = TempDir::new("uucs-shard-reshard");
         let ids: Vec<String> = (0..20).map(|i| format!("case-{i:02}")).collect();
         {
-            let (tcs, _) = open_sharded::<TestcaseStore>(dir.path(), cfg(), 2, &plain_io()).unwrap();
+            let (tcs, _) = open_sharded::<TestcaseStore>(dir.path(), cfg(), 2).unwrap();
             for id in &ids {
                 let shard = tcs.shard_for(id);
                 tcs.write_recovered(shard).add(tc(id)).unwrap();
             }
         }
         for n in [5usize, 3, 1, 4] {
-            let (tcs, _) = open_sharded::<TestcaseStore>(dir.path(), cfg(), n, &plain_io()).unwrap();
+            let (tcs, _) = open_sharded::<TestcaseStore>(dir.path(), cfg(), n).unwrap();
             assert_eq!(tcs.count(), n);
             let mut seen: Vec<String> = Vec::new();
             for i in 0..n {
@@ -700,14 +676,14 @@ mod tests {
             store.append_batch("c1", 3, vec![rec("c1", "u1")]).unwrap();
             store.append_batch("c2", 7, vec![rec("c2", "u2")]).unwrap();
         }
-        let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), 4, &plain_io()).unwrap();
+        let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), 4).unwrap();
         let total: usize = (0..4).map(|i| res.read(i).len()).sum();
         assert_eq!(total, 2);
         assert_eq!(res.read(res.shard_for("c1")).applied_seq("c1"), 3);
         assert_eq!(res.read(res.shard_for("c2")).applied_seq("c2"), 7);
         // The committed layout wins over the (stale, still present) flat
         // files on every subsequent open.
-        let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), 4, &plain_io()).unwrap();
+        let (res, _) = open_sharded::<ResultStore>(dir.path(), cfg(), 4).unwrap();
         let total: usize = (0..4).map(|i| res.read(i).len()).sum();
         assert_eq!(total, 2);
     }
@@ -716,7 +692,7 @@ mod tests {
     fn interrupted_migration_is_discarded() {
         let dir = TempDir::new("uucs-shard-interrupt");
         {
-            let (reg, _) = open_sharded::<RegistryStore>(dir.path(), cfg(), 2, &plain_io()).unwrap();
+            let (reg, _) = open_sharded::<RegistryStore>(dir.path(), cfg(), 2).unwrap();
             let shard = reg.shard_for("client-0001");
             reg.write_recovered(shard)
                 .register_with_id(
@@ -733,7 +709,7 @@ mod tests {
         std::fs::write(partial.join("shard-000/junk"), b"half-written").unwrap();
         // Opening with 3 shards rebuilds from the committed 2-shard
         // layout; the junk is gone.
-        let (reg, _) = open_sharded::<RegistryStore>(dir.path(), cfg(), 3, &plain_io()).unwrap();
+        let (reg, _) = open_sharded::<RegistryStore>(dir.path(), cfg(), 3).unwrap();
         let shard = reg.shard_for("client-0001");
         assert_eq!(reg.read(shard).id_for_token("tok"), Some("client-0001"));
         assert!(!partial.join("shard-000/junk").exists());
@@ -751,7 +727,7 @@ mod tests {
             censored: false,
         };
         let baseline = {
-            let (models, _) = open_sharded::<ModelStore>(dir.path(), cfg(), 3, &plain_io()).unwrap();
+            let (models, _) = open_sharded::<ModelStore>(dir.path(), cfg(), 3).unwrap();
             models
                 .write_recovered(0)
                 .observe_batch(vec![obs("Word", 2.0), obs("Quake", 1.0)])
@@ -774,7 +750,7 @@ mod tests {
             (epoch, merged.encode())
         };
         for n in [1usize, 4, 2] {
-            let (models, _) = open_sharded::<ModelStore>(dir.path(), cfg(), n, &plain_io()).unwrap();
+            let (models, _) = open_sharded::<ModelStore>(dir.path(), cfg(), n).unwrap();
             let mut merged = QuantileSketch::for_resource(Resource::Cpu);
             for i in 0..n {
                 merged

@@ -26,8 +26,7 @@ use std::path::Path;
 use uucs_protocol::{MachineSnapshot, RunRecord, WalEntry};
 use uucs_telemetry::{metrics, Counter, Histogram};
 use uucs_testcase::{format as tcformat, Testcase};
-use crate::storage::{plain_io, StoreIo};
-use uucs_wal::{Recovery, Wal, WalConfig, WalObserver};
+use uucs_wal::{Recovery, StdIo, Wal, WalConfig, WalObserver};
 
 /// The telemetry bridge for one store's WAL: every observer hook lands
 /// in the global registry under `server.wal.<flavor>.*`, so `STATS`
@@ -46,7 +45,7 @@ pub(crate) struct WalTelemetry {
 }
 
 impl WalTelemetry {
-    pub(crate) fn install(wal: &mut Wal<StoreIo>, flavor: &str) {
+    pub(crate) fn install(wal: &mut Wal<StdIo>, flavor: &str) {
         wal.set_observer(Box::new(WalTelemetry {
             append_ns: metrics::histogram(&format!("server.wal.{flavor}.append.ns")),
             append_bytes: metrics::counter(&format!("server.wal.{flavor}.append.bytes")),
@@ -120,7 +119,7 @@ pub(crate) fn invalid(msg: impl fmt::Display) -> io::Error {
 #[derive(Debug, Default)]
 pub struct TestcaseStore {
     testcases: Vec<Testcase>,
-    wal: Option<Wal<StoreIo>>,
+    wal: Option<Wal<StdIo>>,
 }
 
 impl TestcaseStore {
@@ -145,19 +144,7 @@ impl TestcaseStore {
     ///
     /// [`add`]: TestcaseStore::add
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        Self::open_wal_with(plain_io(), dir, config)
-    }
-
-    /// [`TestcaseStore::open_wal`] over an explicit I/O backend —
-    /// typically a shared per-flavor page cache
-    /// ([`crate::storage::StorageProfile::store_io`]), so recovery
-    /// replays and compaction scans hit memory on a warm cache.
-    pub fn open_wal_with(
-        io: StoreIo,
-        dir: &Path,
-        config: WalConfig,
-    ) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(io, dir, config)?;
+        let (mut wal, mut recovery) = Wal::open(StdIo::new(), dir, config)?;
         WalTelemetry::install(&mut wal, "testcases");
         let mut store = Self::new();
         if let Some(snap) = recovery.snapshot.take() {
@@ -316,7 +303,7 @@ pub struct ResultStore {
     records: Vec<RunRecord>,
     /// Per-client highest applied batch sequence number.
     applied: BTreeMap<String, u64>,
-    wal: Option<Wal<StoreIo>>,
+    wal: Option<Wal<StdIo>>,
 }
 
 impl ResultStore {
@@ -329,17 +316,7 @@ impl ResultStore {
     /// journal under `dir` and journals every subsequent upload before
     /// applying it.
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        Self::open_wal_with(plain_io(), dir, config)
-    }
-
-    /// [`ResultStore::open_wal`] over an explicit I/O backend (see
-    /// [`crate::storage::StorageProfile::store_io`]).
-    pub fn open_wal_with(
-        io: StoreIo,
-        dir: &Path,
-        config: WalConfig,
-    ) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(io, dir, config)?;
+        let (mut wal, mut recovery) = Wal::open(StdIo::new(), dir, config)?;
         WalTelemetry::install(&mut wal, "results");
         let mut records = Vec::new();
         let mut applied = BTreeMap::new();
@@ -582,7 +559,7 @@ pub struct RegistryStore {
     /// id back instead of a new row. Rebuilt from the journal and the
     /// snapshot on recovery, so the guarantee survives a server restart.
     tokens: Vec<(String, String)>,
-    wal: Option<Wal<StoreIo>>,
+    wal: Option<Wal<StdIo>>,
 }
 
 impl RegistryStore {
@@ -595,17 +572,7 @@ impl RegistryStore {
     /// journal under `dir` and journals every subsequent registration
     /// before applying it.
     pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        Self::open_wal_with(plain_io(), dir, config)
-    }
-
-    /// [`RegistryStore::open_wal`] over an explicit I/O backend (see
-    /// [`crate::storage::StorageProfile::store_io`]).
-    pub fn open_wal_with(
-        io: StoreIo,
-        dir: &Path,
-        config: WalConfig,
-    ) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(io, dir, config)?;
+        let (mut wal, mut recovery) = Wal::open(StdIo::new(), dir, config)?;
         WalTelemetry::install(&mut wal, "registry");
         let mut store = Self::new();
         if let Some(snap) = recovery.snapshot.take() {

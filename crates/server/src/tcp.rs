@@ -390,12 +390,15 @@ fn serve_pool(
     })
 }
 
-/// One reply parked on a group-commit fsync: redeemed by polling,
-/// serialized only once the watermark is durable. `req_id` is `None`
-/// on a text connection (text replies carry no correlation id).
+/// One reply queued behind a group-commit fsync: redeemed by polling,
+/// serialized only once the watermark is durable. A reply with no
+/// ticket of its own (`SYNC`, `ADVICE`, `ERROR`, ...) parks too when an
+/// earlier reply is still waiting, so replies leave in request order.
+/// `req_id` is `None` on a text connection (text replies carry no
+/// correlation id).
 struct Parked {
     req_id: Option<u32>,
-    ticket: CommitTicket,
+    ticket: Option<CommitTicket>,
     reply: ServerMsg,
 }
 
@@ -406,11 +409,11 @@ struct PoolConn {
     inbuf: Vec<u8>,
     /// Serialized replies not yet flushed to the socket.
     outbuf: Vec<u8>,
-    /// Replies parked on group-commit fsyncs, oldest first. A text
+    /// Replies parked behind group-commit fsyncs, oldest first. A text
     /// connection parks at most one and stops parsing input while it
     /// waits (replies stay ordered, exactly the legacy discipline); a
     /// binary connection keeps parsing up to [`MAX_PIPELINE`] parked
-    /// acks — that is what request pipelining buys.
+    /// replies — that is what request pipelining buys.
     pending: VecDeque<Parked>,
     /// Which framing gauge this connection occupies — and, via
     /// [`WireConnGauge::binary`], which framing it currently speaks.
@@ -457,6 +460,20 @@ impl PoolConn {
         }
     }
 
+    /// Queues one reply: serialized at once when nothing is parked and
+    /// it needs no fsync, otherwise parked behind the earlier replies.
+    fn queue_reply(&mut self, req_id: Option<u32>, ticket: Option<CommitTicket>, reply: ServerMsg) {
+        if ticket.is_none() && self.pending.is_empty() {
+            self.push_reply(req_id, &reply);
+        } else {
+            self.pending.push_back(Parked {
+                req_id,
+                ticket,
+                reply,
+            });
+        }
+    }
+
     /// Serializes one reply in whatever framing the connection speaks.
     fn push_reply(&mut self, req_id: Option<u32>, reply: &ServerMsg) {
         match req_id {
@@ -480,23 +497,23 @@ impl PoolConn {
         // 1. Redeem parked replies whose fsync landed — oldest first,
         // so a pipelined client's acks still arrive in request order
         // even when many are parked at once.
-        while let Some(ticket) = self.pending.front().map(|p| p.ticket) {
-            match committer.map(|c| c.poll(ticket)) {
-                // No committer can't really happen (tickets come from
-                // one), but degrade to an immediate reply, never a wedge.
-                None | Some(Some(Ok(()))) => {
-                    let done = self.pending.pop_front().expect("front exists");
-                    self.push_reply(done.req_id, &done.reply);
-                    progressed = true;
-                }
-                Some(Some(Err(e))) => {
-                    let done = self.pending.pop_front().expect("front exists");
+        while let Some(parked) = self.pending.front() {
+            // No committer can't really happen (tickets come from one),
+            // but degrade to an immediate reply, never a wedge.
+            let outcome = match (parked.ticket, committer) {
+                (Some(ticket), Some(c)) => c.poll(ticket),
+                _ => Some(Ok(())),
+            };
+            let Some(outcome) = outcome else { break };
+            let done = self.pending.pop_front().expect("front exists");
+            match outcome {
+                Ok(()) => self.push_reply(done.req_id, &done.reply),
+                Err(e) => {
                     let err = ServerMsg::Error(format!("journal commit failed: {e}"));
                     self.push_reply(done.req_id, &err);
-                    progressed = true;
                 }
-                Some(None) => break,
             }
+            progressed = true;
         }
 
         // 2. Flush buffered replies.
@@ -558,14 +575,7 @@ impl PoolConn {
                             self.closing = true;
                         } else {
                             let (reply, ticket) = server.handle_deferred(&msg);
-                            match ticket {
-                                Some(t) => self.pending.push_back(Parked {
-                                    req_id: Some(req_id),
-                                    ticket: t,
-                                    reply,
-                                }),
-                                None => self.push_reply(Some(req_id), &reply),
-                            }
+                            self.queue_reply(Some(req_id), ticket, reply);
                         }
                         progressed = true;
                     }
@@ -580,7 +590,7 @@ impl PoolConn {
                         let reply = ServerMsg::Error(format!(
                             "unsupported message: unknown opcode {opcode}"
                         ));
-                        self.push_reply(Some(req_id), &reply);
+                        self.queue_reply(Some(req_id), None, reply);
                         progressed = true;
                     }
                     // Corrupt frame: the stream position is unknown.
@@ -610,14 +620,7 @@ impl PoolConn {
                         (ClientMsg::Hello { .. }, ServerMsg::Hello { version })
                             if *version >= WIRE_VERSION_BINARY
                     );
-                    match ticket {
-                        Some(t) => self.pending.push_back(Parked {
-                            req_id: None,
-                            ticket: t,
-                            reply,
-                        }),
-                        None => self.push_reply(None, &reply),
-                    }
+                    self.queue_reply(None, ticket, reply);
                     if upgrade {
                         self.wire.upgrade();
                     }
@@ -634,7 +637,7 @@ impl PoolConn {
                 Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
                     self.inbuf.drain(..consumed);
                     let reply = ServerMsg::Error(format!("unsupported message: {e}"));
-                    let _ = write_server_msg(&mut self.outbuf, &reply);
+                    self.queue_reply(None, None, reply);
                     progressed = true;
                 }
                 // A strict prefix of a valid frame: wait for the rest.

@@ -16,6 +16,8 @@
 //!   or its declared length is implausible. A crash cannot produce
 //!   this; bit rot or foreign writes can. Recovery reports it.
 
+use std::io::{self, Read};
+
 /// Bytes of frame header (`len` + `crc`).
 pub const FRAME_HEADER: usize = 8;
 
@@ -41,15 +43,19 @@ pub enum FrameError {
     },
 }
 
+/// The frame checksum: CRC-32 over the length bytes, then the payload.
+fn frame_crc(len_bytes: &[u8], payload: &[u8]) -> u32 {
+    let mut hasher = crate::crc::Crc32::new();
+    hasher.update(len_bytes);
+    hasher.update(payload);
+    hasher.finish()
+}
+
 /// Appends one encoded frame to `out` and returns its encoded length.
 pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) -> usize {
-    let len = payload.len() as u32;
-    let len_bytes = len.to_le_bytes();
-    let mut hasher = crate::crc::Crc32::new();
-    hasher.update(&len_bytes);
-    hasher.update(payload);
+    let len_bytes = (payload.len() as u32).to_le_bytes();
     out.extend_from_slice(&len_bytes);
-    out.extend_from_slice(&hasher.finish().to_le_bytes());
+    out.extend_from_slice(&frame_crc(&len_bytes, payload).to_le_bytes());
     out.extend_from_slice(payload);
     FRAME_HEADER + payload.len()
 }
@@ -128,10 +134,7 @@ impl<'a> Iterator for FrameScanner<'a> {
         }
         let stored_crc = u32::from_le_bytes(remaining[4..8].try_into().unwrap());
         let payload = &remaining[FRAME_HEADER..total];
-        let mut hasher = crate::crc::Crc32::new();
-        hasher.update(&remaining[..4]);
-        hasher.update(payload);
-        let actual = hasher.finish();
+        let actual = frame_crc(&remaining[..4], payload);
         if actual != stored_crc {
             self.done = true;
             return Some(Err(FrameError::Corrupt {
@@ -142,6 +145,54 @@ impl<'a> Iterator for FrameScanner<'a> {
         self.offset = start + total;
         Some(Ok((start, payload)))
     }
+}
+
+/// Reads one whole frame from a blocking stream and returns its
+/// payload, validated exactly as [`FrameScanner`] validates a segment.
+/// `max_len` caps the declared payload length (a transport may set a
+/// tighter cap than [`MAX_FRAME`], never a looser one).
+///
+/// * Clean EOF before the first header byte → `Ok(None)`.
+/// * EOF inside the frame → [`io::ErrorKind::UnexpectedEof`]: torn, the
+///   signature of an interrupted send.
+/// * A declared length over the cap, or a checksum mismatch →
+///   [`io::ErrorKind::InvalidData`]: nothing after it can be trusted.
+pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> io::Result<Option<Vec<u8>>> {
+    let torn =
+        |what: &str| io::Error::new(io::ErrorKind::UnexpectedEof, format!("torn frame: {what}"));
+    let mut header = [0u8; FRAME_HEADER];
+    let mut got = 0;
+    while got < FRAME_HEADER {
+        match r.read(&mut header[got..])? {
+            0 if got == 0 => return Ok(None),
+            0 => return Err(torn("incomplete header")),
+            n => got += n,
+        }
+    }
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    if len > max_len.min(MAX_FRAME) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("implausible frame length {len}"),
+        ));
+    }
+    let mut payload = vec![0u8; len as usize];
+    r.read_exact(&mut payload).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            torn("payload cut short")
+        } else {
+            e
+        }
+    })?;
+    let stored = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    let actual = frame_crc(&header[..4], &payload);
+    if actual != stored {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("corrupt frame: crc mismatch (stored {stored:08x}, computed {actual:08x})"),
+        ));
+    }
+    Ok(Some(payload))
 }
 
 #[cfg(test)]

@@ -47,17 +47,6 @@ pub trait Io {
     fn remove(&self, path: &Path) -> io::Result<()>;
     /// The file's length in bytes.
     fn len(&self, path: &Path) -> io::Result<u64>;
-    /// Reads up to `len` bytes starting at byte `offset`. Reading past
-    /// the end of the file is not an error — the result is simply
-    /// shorter (possibly empty). The default implementation reads the
-    /// whole file and slices; backends with positional reads should
-    /// override it.
-    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        let bytes = self.read(path)?;
-        let start = (offset as usize).min(bytes.len());
-        let end = start.saturating_add(len).min(bytes.len());
-        Ok(bytes[start..end].to_vec())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -152,20 +141,6 @@ impl Io for StdIo {
 
     fn len(&self, path: &Path) -> io::Result<u64> {
         Ok(std::fs::metadata(path)?.len())
-    }
-
-    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = File::open(path)?;
-        let end = file.seek(SeekFrom::End(0))?;
-        if offset >= end {
-            return Ok(Vec::new());
-        }
-        file.seek(SeekFrom::Start(offset))?;
-        let want = len.min((end - offset) as usize);
-        let mut buf = vec![0u8; want];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
     }
 }
 
@@ -473,24 +448,6 @@ mod tests {
         io.remove(&dir.join("a")).unwrap();
         assert_eq!(io.list(dir).unwrap(), vec!["b"]);
         assert!(io.read(&dir.join("a")).is_err());
-    }
-
-    #[test]
-    fn read_at_clamps_to_eof_on_both_backends() {
-        let mem = MemIo::new();
-        let p = Path::new("/w/a.wal");
-        mem.append(p, b"0123456789").unwrap();
-        assert_eq!(mem.read_at(p, 2, 4).unwrap(), b"2345");
-        assert_eq!(mem.read_at(p, 8, 100).unwrap(), b"89");
-        assert_eq!(mem.read_at(p, 50, 4).unwrap(), b"");
-
-        let tmp = uucs_harness::TempDir::new("uucs-wal-read-at");
-        let io = StdIo::new();
-        let q = tmp.path().join("x.wal");
-        io.append(&q, b"0123456789").unwrap();
-        assert_eq!(io.read_at(&q, 2, 4).unwrap(), b"2345");
-        assert_eq!(io.read_at(&q, 8, 100).unwrap(), b"89");
-        assert_eq!(io.read_at(&q, 50, 4).unwrap(), b"");
     }
 
     #[test]

@@ -31,9 +31,6 @@ cargo test -q --workspace
 echo "== wal fault-injection suite (crash points x sync policies) =="
 cargo test -q -p uucs-wal
 
-echo "== pagecache suite (ARC ghost lists, cached-vs-plain equivalence, scheduler) =="
-cargo test -q -p uucs-pagecache
-
 echo "== chaos suite (network faults, exactly-once, kill/recover) =="
 cargo test -q --test chaos
 
@@ -71,8 +68,8 @@ cargo run -q --release -p uucs-study -- fleet --cluster --quick
 echo "== binary fleet smoke (wire v2, pipelined depth 8) =="
 cargo run -q --release -p uucs-study -- fleet --quick --wire binary --pipeline 8
 
-echo "== bench smoke (UUCS_BENCH_QUICK=1, all twelve targets) =="
-for bench in paper_figures substrate exerciser_accuracy ablations wal chaos telemetry_overhead modelsvc engine cluster wire pagecache; do
+echo "== bench smoke (UUCS_BENCH_QUICK=1, all eleven targets) =="
+for bench in paper_figures substrate exerciser_accuracy ablations wal chaos telemetry_overhead modelsvc engine cluster wire; do
     echo "-- $bench --"
     UUCS_BENCH_QUICK=1 cargo bench -p uucs-bench --bench "$bench"
 done
@@ -84,7 +81,7 @@ summary=BENCH_SUMMARY.json
 {
     printf '{\n'
     first=1
-    for bench in paper_figures substrate exerciser_accuracy ablations wal chaos telemetry_overhead modelsvc engine cluster wire pagecache; do
+    for bench in paper_figures substrate exerciser_accuracy ablations wal chaos telemetry_overhead modelsvc engine cluster wire; do
         report="target/uucs-bench/$bench.json"
         [ -f "$report" ] || continue
         [ "$first" -eq 1 ] || printf ',\n'

@@ -221,25 +221,21 @@ fn group_commit_kill_loses_no_acked_upload() {
     }
 }
 
-/// The same kill storm with the full storage engine under the stores:
-/// per-flavor ARC page caches, the disk-scheduler thread pool, and
-/// deferred rotation syncs. A kill mid-write-back must lose nothing
-/// that was acked — the cache is write-through, so an ack still means
-/// "on stable storage", never "in a dirty page".
+/// The same kill storm with the disk scheduler under the committer:
+/// per-shard fsyncs fanned out to its I/O threads, and segment-rotation
+/// fsyncs deferred to the commit passes. A kill while rotation syncs
+/// are still queued must lose nothing that was acked — an ack waits on
+/// the commit pass, which drains every deferred sync first.
 #[test]
-fn cached_engine_kill_loses_no_acked_upload() {
+fn scheduler_engine_kill_loses_no_acked_upload() {
     use uucs::server::StorageProfile;
 
-    let tmp = TempDir::new("uucs-engine-cached-kill");
+    let tmp = TempDir::new("uucs-engine-sched-kill");
     const CLIENTS: usize = 6;
-    let profile = StorageProfile {
-        cache_pages: 128,
-        io_threads: 2,
-        ..StorageProfile::default()
-    };
+    let profile = StorageProfile { io_threads: 2 };
 
-    // Generation 1: cached sharded stores, scheduler-fanned group
-    // commit, rotation off the append path.
+    // Generation 1: sharded stores, scheduler-fanned group commit,
+    // rotation off the append path.
     let acked: Vec<(String, u64)> = {
         let (stores, _) = StoreSet::open_with(tmp.path(), wal_cfg(), 3, &profile).unwrap();
         let server = Arc::new(
@@ -263,7 +259,7 @@ fn cached_engine_kill_loses_no_acked_upload() {
                     write_client_msg(
                         &mut writer,
                         &ClientMsg::register(MachineSnapshot::study_machine(format!(
-                            "cached-kill-{c}"
+                            "sched-kill-{c}"
                         ))),
                     )
                     .unwrap();
@@ -307,8 +303,8 @@ fn cached_engine_kill_loses_no_acked_upload() {
         "the storm never got an upload acked; test proves nothing"
     );
 
-    // Generation 2: different shard count, cache warm-started from
-    // scratch. Every acked upload must be recovered.
+    // Generation 2: different shard count. Every acked upload must be
+    // recovered.
     let (stores, _) = StoreSet::open_with(tmp.path(), wal_cfg(), 5, &profile).unwrap();
     let server = UucsServer::with_store_set(stores, 9);
     for (id, top) in &acked {

@@ -7,7 +7,8 @@
 //! * The `HELLO` matrix: v2 requested → binary; v1 requested → text;
 //!   a from-the-future version → clamped to v2.
 //! * Request pipelining: replies come back in request order with the
-//!   request ids echoed.
+//!   request ids echoed, also when group commit parks the upload acks
+//!   and un-journaled replies (SYNC, ADVICE) are interleaved with them.
 //! * Cross-framing abuse (binary frames at a text connection, text at
 //!   an upgraded binary connection) drops that connection cleanly and
 //!   never wedges the server.
@@ -17,6 +18,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 use uucs::protocol::wire::{read_server_msg, write_client_msg, write_server_msg, Endpoint};
@@ -31,13 +33,32 @@ use uucs::testcase::Resource;
 use uucs::wire::conn::{negotiate, Negotiated};
 use uucs::wire::frame::{read_server_frame, write_client_frame};
 use uucs::wire::crc32;
+use uucs_harness::TempDir;
+use uucs_wal::{SyncPolicy, WalConfig};
 
 const ENGINES: [EngineMode; 2] = [EngineMode::WorkerPool, EngineMode::ThreadPerConn];
 
 fn serve(engine: EngineMode) -> tcp::ServerHandle {
-    let server = Arc::new(UucsServer::with_store_set(StoreSet::plain(2), 7));
+    serve_server(UucsServer::with_store_set(StoreSet::plain(2), 7), engine)
+}
+
+/// A journaled server under group commit: every upload's ack parks on
+/// an fsync ticket for up to `interval`.
+fn serve_group_commit(engine: EngineMode, dir: &Path, interval: Duration) -> tcp::ServerHandle {
+    let cfg = WalConfig {
+        sync: SyncPolicy::Never,
+        ..WalConfig::default()
+    };
+    let (stores, _) = StoreSet::open(dir, cfg, 2).expect("open stores");
+    serve_server(
+        UucsServer::with_store_set(stores, 7).with_group_commit(interval),
+        engine,
+    )
+}
+
+fn serve_server(server: UucsServer, engine: EngineMode) -> tcp::ServerHandle {
     tcp::serve_with(
-        server,
+        Arc::new(server),
         "127.0.0.1:0",
         ServeConfig {
             engine,
@@ -249,6 +270,63 @@ fn pipelined_uploads_reply_in_request_order() {
             let (req, reply) = read_server_frame(&mut reader).expect("pipelined reply");
             assert_eq!(req, 2 + k, "{engine:?}: replies must come back in order");
             assert!(matches!(reply, ServerMsg::Ack(_)), "{engine:?}: {reply:?}");
+        }
+        write_client_frame(&mut writer, 99, &ClientMsg::Bye).ok();
+        handle.shutdown();
+    }
+
+    // Under group commit each upload's ack parks on an fsync ticket.
+    // Replies that need no fsync (SYNC, ADVICE) must queue behind the
+    // parked acks, not overtake them.
+    for engine in ENGINES {
+        let dir = TempDir::new("uucs-wire-pipeline-commit");
+        let handle = serve_group_commit(engine, dir.path(), Duration::from_millis(20));
+        let (mut writer, mut reader) = connect(handle.addr());
+        negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY).expect("negotiate");
+        write_client_frame(&mut writer, 1, &register_msg("pipeline-commit")).unwrap();
+        let (_, reply) = read_server_frame(&mut reader).unwrap();
+        let ServerMsg::Id { id, .. } = reply else {
+            panic!("registration failed: {reply:?}");
+        };
+
+        let rounds = 4u32;
+        for k in 0..rounds {
+            let seq = (k + 1) as u64;
+            let frames = [
+                ClientMsg::Upload {
+                    client: id.clone(),
+                    seq,
+                    records: vec![record(&id, seq, k as u64)],
+                },
+                ClientMsg::Sync {
+                    client: id.clone(),
+                    have: 0,
+                    want: 4,
+                },
+                ClientMsg::Advice {
+                    resource: Resource::Cpu,
+                    task: "IE".into(),
+                    epsilon: 0.25,
+                },
+            ];
+            for (j, msg) in frames.iter().enumerate() {
+                write_client_frame(&mut writer, 2 + 3 * k + j as u32, msg).expect("frame");
+            }
+        }
+        for req in 2..2 + 3 * rounds {
+            let (got, reply) = read_server_frame(&mut reader).expect("pipelined reply");
+            assert_eq!(got, req, "{engine:?}: replies must come back in order");
+            match (req - 2) % 3 {
+                0 => assert!(matches!(reply, ServerMsg::Ack(_)), "{engine:?}: {reply:?}"),
+                1 => assert!(
+                    matches!(reply, ServerMsg::Testcases(_)),
+                    "{engine:?}: {reply:?}"
+                ),
+                _ => assert!(
+                    matches!(reply, ServerMsg::Advice { .. } | ServerMsg::Error(_)),
+                    "{engine:?}: {reply:?}"
+                ),
+            }
         }
         write_client_frame(&mut writer, 99, &ClientMsg::Bye).ok();
         handle.shutdown();
