@@ -5,7 +5,7 @@
 //! uucs-server [--addr 127.0.0.1:4004] [--library FILE] [--data DIR]
 //!             [--generate-library N-seed] [--wal] [--sync POLICY]
 //!             [--shards N] [--commit-interval-us N] [--io-threads N]
-//!             [--max-conns N] [--workers N] [--engine pool|threads]
+//!             [--max-conns N] [--workers N]
 //! ```
 //!
 //! With `--library`, serves the testcases in the given text file; with
@@ -36,9 +36,9 @@
 //!   commit fans its per-shard fsyncs out to it, and segment rotation
 //!   defers its fsync to the next commit pass instead of stalling the
 //!   append path. Needs `--commit-interval-us`.
-//! * `--max-conns N`, `--workers N`, `--engine pool|threads` tune the
-//!   TCP front end (worker pool over nonblocking sockets by default;
-//!   `threads` restores one-thread-per-connection).
+//! * `--max-conns N` and `--workers N` tune the TCP front end, a
+//!   fixed worker pool sweeping nonblocking sockets (`--workers 0`
+//!   sizes the pool from the machine).
 //!
 //! All engine settings are surfaced in `STATS` as `server.config.*`
 //! gauges.
@@ -46,7 +46,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use uucs_server::tcp::{EngineMode, ServeConfig};
+use uucs_server::tcp::ServeConfig;
 use uucs_server::{tcp, StorageProfile, StoreSet, TestcaseStore, UucsServer};
 use uucs_telemetry::metrics;
 use uucs_wal::{SyncPolicy, WalConfig};
@@ -139,17 +139,6 @@ fn main() {
                         std::process::exit(2);
                     });
             }
-            "--engine" => {
-                i += 1;
-                serve_config.engine = match args.get(i).map(String::as_str) {
-                    Some("pool") => EngineMode::WorkerPool,
-                    Some("threads") => EngineMode::ThreadPerConn,
-                    _ => {
-                        eprintln!("bad --engine (want pool or threads)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -173,10 +162,6 @@ fn main() {
     metrics::gauge("server.config.workers").set(serve_config.workers as i64);
     metrics::gauge("server.config.commit_interval_us").set(commit_interval_us as i64);
     metrics::gauge("server.config.io_threads").set(storage.io_threads as i64);
-    metrics::gauge("server.config.engine_pool").set(i64::from(matches!(
-        serve_config.engine,
-        EngineMode::WorkerPool
-    )));
 
     let seed_library = || -> Vec<uucs_testcase::Testcase> {
         if let Some(path) = &library {

@@ -1,17 +1,16 @@
-//! The TCP front end: a fixed worker pool sweeping nonblocking sockets
-//! (default), or the legacy thread-per-connection engine.
+//! The TCP front end: a fixed worker pool sweeping nonblocking sockets.
 //!
-//! The worker pool decouples the connection count from the thread
-//! count: each worker owns a set of connections and sweeps them in a
-//! readiness loop — drain readable bytes into a per-connection buffer,
-//! parse complete frames with the torn-frame-rejecting wire readers
-//! (a strict prefix of a valid frame never parses, so a partial read
-//! just waits for more bytes), hand complete messages to the shared
+//! One accept thread hands each new socket to one of a fixed set of
+//! workers, so the connection count is decoupled from the thread count.
+//! Each worker owns its connections and sweeps them in a readiness
+//! loop — drain readable bytes into a per-connection buffer, parse
+//! complete frames with the torn-frame-rejecting wire readers (a strict
+//! prefix of a valid frame never parses, so a partial read just waits
+//! for more bytes), hand complete messages to the shared
 //! [`UucsServer`], and flush replies. A connection whose reply awaits a
 //! group-commit fsync parks on its [`CommitTicket`] and is polled
 //! nonblockingly, so a worker keeps serving its other connections while
-//! the disk catches up. This raises the practical ceiling from
-//! hundreds of threads to tens of thousands of sockets.
+//! the disk catches up. The ceiling is file descriptors, not threads.
 //!
 //! Hardened for the open internet the paper's clients lived on:
 //!
@@ -20,11 +19,16 @@
 //! * **Connection cap** — past [`ServeConfig::max_connections`] live
 //!   connections, new arrivals get `ERROR server at capacity` and are
 //!   closed, so an accept storm degrades politely.
+//! * **Write backpressure** — a connection stops reading and parsing
+//!   input while its unflushed replies exceed `MAX_OUTBUF`, so a peer
+//!   that pipelines requests and never reads the replies cannot grow
+//!   server memory; the read deadline then reclaims it.
 //! * **Accept-error backoff** — a transient `accept(2)` failure (EMFILE,
-//!   ECONNABORTED, ...) sleeps [`ServeConfig::accept_retry`] and
-//!   retries; it does not kill the listener.
+//!   ECONNABORTED, ...) sleeps `ACCEPT_RETRY` and retries; it does not
+//!   kill the listener.
 //! * **Graceful drain** — [`ServerHandle::shutdown`] stops accepting,
-//!   closes every connection, and joins the workers within a deadline.
+//!   lets every worker close its connections, and joins the workers
+//!   within a deadline.
 //! * **Forward compatibility** — a message tag this server does not know
 //!   ([`std::io::ErrorKind::Unsupported`]) is answered with
 //!   `ERROR unsupported message ...` and the connection stays alive.
@@ -34,16 +38,16 @@
 use crate::commit::{CommitTicket, GroupCommitter};
 use crate::server::UucsServer;
 use std::collections::VecDeque;
-use std::io::{BufReader, Cursor, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{Cursor, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use uucs_protocol::wire::{read_client_msg, write_server_msg, Endpoint};
+use uucs_protocol::wire::{read_client_msg, write_server_msg};
 use uucs_protocol::{ClientMsg, ServerMsg, WIRE_VERSION_BINARY};
 use uucs_telemetry::{metrics, Counter, Gauge};
-use uucs_wire::frame::{read_client_frame, try_read_client_frame, write_server_frame};
+use uucs_wire::frame::{try_read_client_frame, write_server_frame};
 use uucs_wire::{FrameRead, MAX_PIPELINE};
 
 /// Wire-protocol telemetry: how many live connections speak each
@@ -97,17 +101,6 @@ impl Drop for WireConnGauge {
     }
 }
 
-/// Which connection engine serves the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Fixed worker pool over nonblocking sockets (the default): the
-    /// connection ceiling is file descriptors, not threads.
-    WorkerPool,
-    /// One thread per connection — the original engine, kept for
-    /// comparison benchmarks and as a fallback.
-    ThreadPerConn,
-}
-
 /// Tuning knobs for the TCP front end.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -118,15 +111,11 @@ pub struct ServeConfig {
     /// Maximum simultaneously served connections; arrivals beyond it are
     /// answered `ERROR server at capacity` and closed.
     pub max_connections: usize,
-    /// Backoff after a transient `accept(2)` error.
-    pub accept_retry: Duration,
-    /// How long [`ServerHandle::shutdown`] waits for connection threads
-    /// to drain before giving up on the stragglers.
+    /// How long [`ServerHandle::shutdown`] waits for the workers to
+    /// drain before giving up on the stragglers.
     pub drain_deadline: Duration,
-    /// The connection engine.
-    pub engine: EngineMode,
-    /// Worker threads for [`EngineMode::WorkerPool`]; `0` sizes from
-    /// the machine's available parallelism.
+    /// Worker threads; `0` sizes from the machine's available
+    /// parallelism.
     pub workers: usize,
 }
 
@@ -135,12 +124,9 @@ impl Default for ServeConfig {
         ServeConfig {
             read_timeout: Some(Duration::from_secs(30)),
             // The worker pool spends a file descriptor, not a thread,
-            // per connection — the default cap is sized for fleets, not
-            // for the old 256-thread budget.
+            // per connection — the default cap is sized for fleets.
             max_connections: 4096,
-            accept_retry: Duration::from_millis(50),
             drain_deadline: Duration::from_secs(5),
-            engine: EngineMode::WorkerPool,
             workers: 0,
         }
     }
@@ -153,44 +139,13 @@ fn default_workers() -> usize {
         .clamp(2, 8)
 }
 
-/// One tracked connection of the thread-per-connection engine: its
-/// thread and a handle to its socket so shutdown can unblock a pending
-/// read.
-struct Conn {
-    thread: JoinHandle<()>,
-    stream: TcpStream,
-}
-
-/// Shared connection bookkeeping between the accept loop and shutdown.
-#[derive(Default)]
-struct Tracker {
-    conns: Mutex<Vec<Conn>>,
-    live: AtomicUsize,
-}
-
-impl Tracker {
-    /// Drops finished threads from the table (joining them is instant).
-    fn reap(&self) {
-        let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut kept = Vec::with_capacity(conns.len());
-        for c in conns.drain(..) {
-            if c.thread.is_finished() {
-                let _ = c.thread.join();
-            } else {
-                kept.push(c);
-            }
-        }
-        *conns = kept;
-    }
-}
-
-/// A running TCP server; dropping it (after [`ServerHandle::shutdown`])
-/// joins the accept loop.
+/// A running TCP server. Only [`ServerHandle::shutdown`] stops it and
+/// joins its threads; dropping the handle leaves them running.
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    tracker: Arc<Tracker>,
+    live: Arc<AtomicUsize>,
     workers: Vec<JoinHandle<()>>,
     drain_deadline: Duration,
     /// The shared server state, for inspection by tests and drivers.
@@ -205,14 +160,14 @@ impl ServerHandle {
 
     /// Number of connections currently being served.
     pub fn live_connections(&self) -> usize {
-        self.tracker.live.load(Ordering::SeqCst)
+        self.live.load(Ordering::SeqCst)
     }
 
-    /// Requests shutdown and drains: stops accepting, closes every
-    /// connection, and joins the connection/worker threads within the
-    /// configured deadline. Returns `true` if everything drained,
-    /// `false` if stragglers were left behind (their threads die with
-    /// the process).
+    /// Requests shutdown and drains: stops accepting, joins the accept
+    /// loop, and joins the workers (each closes its connections on its
+    /// next sweep) within the configured deadline. Returns `true` if
+    /// everything drained, `false` if stragglers were left behind
+    /// (their threads die with the process).
     pub fn shutdown(mut self) -> bool {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the accept loop with a throwaway connection.
@@ -221,34 +176,10 @@ impl ServerHandle {
             let _ = h.join();
         }
         let deadline = Instant::now() + self.drain_deadline;
-        // Thread-per-connection drains by socket shutdown + join.
-        let mut conns = std::mem::take(
-            &mut *self
-                .tracker
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for c in &conns {
-            let _ = c.stream.shutdown(Shutdown::Both);
-        }
         let mut drained = true;
-        for c in conns.drain(..) {
-            // `JoinHandle` has no timed join; poll `is_finished` against
-            // the deadline — the socket shutdown above guarantees the
-            // thread is already unblocking.
-            while !c.thread.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if c.thread.is_finished() {
-                let _ = c.thread.join();
-            } else {
-                drained = false;
-            }
-        }
-        // Pool workers notice the stop flag on their next sweep and
-        // close their connections themselves.
         for w in std::mem::take(&mut self.workers) {
+            // `JoinHandle` has no timed join; poll `is_finished` against
+            // the deadline.
             while !w.is_finished() && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -268,25 +199,18 @@ pub fn serve(server: Arc<UucsServer>, addr: &str) -> std::io::Result<ServerHandl
     serve_with(server, addr, ServeConfig::default())
 }
 
-/// [`serve`] with explicit tuning.
-pub fn serve_with(
-    server: Arc<UucsServer>,
-    addr: &str,
-    config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    match config.engine {
-        EngineMode::WorkerPool => serve_pool(server, addr, config),
-        EngineMode::ThreadPerConn => serve_threaded(server, addr, config),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Worker-pool engine
-// ---------------------------------------------------------------------
-
 /// Cap on a connection's buffered unparsed input: a peer that streams
 /// this much without ever completing a frame is hostile or broken.
 const MAX_INBUF: usize = 4 * 1024 * 1024;
+
+/// Cap on a connection's unflushed replies: past it the connection
+/// stops reading and parsing input until the peer drains some, so the
+/// buffer holds at most this plus one reply (plus the replies already
+/// parked on fsync tickets, bounded by [`MAX_PIPELINE`]).
+const MAX_OUTBUF: usize = MAX_INBUF;
+
+/// Backoff after a transient `accept(2)` error.
+const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
 /// Worker idle sleep: the sweep granularity when no socket had bytes.
 /// Well under client retry timeouts (the chaos transports use 1s), and
@@ -299,7 +223,8 @@ struct PoolShared {
     stop: Arc<AtomicBool>,
 }
 
-fn serve_pool(
+/// [`serve`] with explicit tuning.
+pub fn serve_with(
     server: Arc<UucsServer>,
     addr: &str,
     config: ServeConfig,
@@ -307,7 +232,7 @@ fn serve_pool(
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let tracker = Arc::new(Tracker::default());
+    let live = Arc::new(AtomicUsize::new(0));
     let nworkers = if config.workers == 0 {
         default_workers()
     } else {
@@ -325,20 +250,20 @@ fn serve_pool(
     for i in 0..nworkers {
         let shared = shared.clone();
         let server = server.clone();
-        let tracker = tracker.clone();
+        let live = live.clone();
         let live_gauge = live_gauge.clone();
         workers.push(
             std::thread::Builder::new()
                 .name(format!("uucs-worker-{i}"))
-                .spawn(move || worker_loop(i, shared, server, tracker, live_gauge, config))
+                .spawn(move || worker_loop(i, shared, server, live, live_gauge, config))
                 .expect("spawn pool worker"),
         );
     }
 
     let stop2 = stop.clone();
     let shared2 = shared.clone();
-    let tracker2 = tracker.clone();
-    let live2 = live_gauge.clone();
+    let live2 = live.clone();
+    let live_gauge2 = live_gauge.clone();
     let accept_thread = std::thread::Builder::new()
         .name("uucs-accept".into())
         .spawn(move || {
@@ -349,7 +274,7 @@ fn serve_pool(
                 }
                 match conn {
                     Ok(stream) => {
-                        if tracker2.live.load(Ordering::SeqCst) >= config.max_connections {
+                        if live2.load(Ordering::SeqCst) >= config.max_connections {
                             // Over the cap: answer and close without
                             // spending a descriptor slot on the peer.
                             rejected.inc();
@@ -360,9 +285,9 @@ fn serve_pool(
                             );
                             continue;
                         }
-                        tracker2.live.fetch_add(1, Ordering::SeqCst);
+                        live2.fetch_add(1, Ordering::SeqCst);
                         accepted.inc();
-                        live2.inc();
+                        live_gauge2.inc();
                         let q = next % shared2.queues.len();
                         next = next.wrapping_add(1);
                         shared2.queues[q]
@@ -373,7 +298,7 @@ fn serve_pool(
                     // A transient accept failure (EMFILE, ECONNABORTED,
                     // a half-open handshake torn down...) must not kill
                     // the whole server: back off briefly, keep listening.
-                    Err(_) => std::thread::sleep(config.accept_retry),
+                    Err(_) => std::thread::sleep(ACCEPT_RETRY),
                 }
             }
         })
@@ -383,7 +308,7 @@ fn serve_pool(
         addr: local,
         stop,
         accept_thread: Some(accept_thread),
-        tracker,
+        live,
         workers,
         drain_deadline: config.drain_deadline,
         server,
@@ -450,14 +375,14 @@ impl PoolConn {
         })
     }
 
-    /// How many replies may park on fsync tickets before this
-    /// connection stops parsing further input.
-    fn pipeline_cap(&self) -> usize {
-        if self.wire.binary {
-            MAX_PIPELINE
-        } else {
-            1
-        }
+    /// Whether this connection may read and parse more input: not once
+    /// it is closing, not while its pipeline window of replies parked on
+    /// fsync tickets is full (one for text, [`MAX_PIPELINE`] for
+    /// binary), and not while its unflushed replies exceed `MAX_OUTBUF`
+    /// — the write backpressure that bounds a peer that never reads.
+    fn takes_input(&self) -> bool {
+        let pipeline_cap = if self.wire.binary { MAX_PIPELINE } else { 1 };
+        !self.closing && self.pending.len() < pipeline_cap && self.outbuf.len() <= MAX_OUTBUF
     }
 
     /// Queues one reply: serialized at once when nothing is parked and
@@ -530,10 +455,9 @@ impl PoolConn {
             }
         }
 
-        // 3. Drain readable bytes (unless the pipeline window is full:
-        // one parked reply stalls a text connection, a binary one keeps
-        // reading until MAX_PIPELINE acks are in flight).
-        if self.pending.len() < self.pipeline_cap() && !self.eof && !self.closing {
+        // 3. Drain readable bytes, unless the pipeline window is full or
+        // the peer has not read enough of its replies.
+        if self.takes_input() && !self.eof {
             let mut buf = [0u8; 4096];
             loop {
                 match self.stream.read(&mut buf) {
@@ -560,7 +484,7 @@ impl PoolConn {
         // that negotiates binary flips the framing *between* messages:
         // the reply is serialized in text first, then every later byte
         // on the connection is a binary frame.
-        while self.pending.len() < self.pipeline_cap() && !self.closing && !self.inbuf.is_empty() {
+        while self.takes_input() && !self.inbuf.is_empty() {
             if self.wire.binary {
                 match try_read_client_frame(&self.inbuf) {
                     Ok(FrameRead::Incomplete) => break,
@@ -685,7 +609,7 @@ fn worker_loop(
     index: usize,
     shared: Arc<PoolShared>,
     server: Arc<UucsServer>,
-    tracker: Arc<Tracker>,
+    live: Arc<AtomicUsize>,
     live_gauge: Gauge,
     config: ServeConfig,
 ) {
@@ -693,7 +617,7 @@ fn worker_loop(
     let mut conns: Vec<PoolConn> = Vec::new();
     let close = |_c: PoolConn| {
         // Dropping the stream closes the socket; the peer sees EOF.
-        tracker.live.fetch_sub(1, Ordering::SeqCst);
+        live.fetch_sub(1, Ordering::SeqCst);
         live_gauge.dec();
     };
     loop {
@@ -706,7 +630,7 @@ fn worker_loop(
                 match PoolConn::new(stream) {
                     Ok(conn) => conns.push(conn),
                     Err(_) => {
-                        tracker.live.fetch_sub(1, Ordering::SeqCst);
+                        live.fetch_sub(1, Ordering::SeqCst);
                         live_gauge.dec();
                     }
                 }
@@ -738,189 +662,12 @@ fn worker_loop(
     }
 }
 
-// ---------------------------------------------------------------------
-// Thread-per-connection engine (legacy)
-// ---------------------------------------------------------------------
-
-fn serve_threaded(
-    server: Arc<UucsServer>,
-    addr: &str,
-    config: ServeConfig,
-) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let server2 = server.clone();
-    let tracker = Arc::new(Tracker::default());
-    let tracker2 = tracker.clone();
-    // Connection telemetry: the live gauge mirrors `Tracker::live`, the
-    // counters record accept/reject outcomes — all surfaced by `STATS`.
-    let live_gauge = metrics::gauge("server.connections.live");
-    let accepted = metrics::counter("server.connections.accepted");
-    let rejected = metrics::counter("server.connections.rejected");
-    let accept_thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if stop2.load(Ordering::SeqCst) {
-                break;
-            }
-            match conn {
-                Ok(stream) => {
-                    tracker2.reap();
-                    if tracker2.live.load(Ordering::SeqCst) >= config.max_connections {
-                        // Over the cap: answer and close without
-                        // spending a thread on the peer.
-                        rejected.inc();
-                        let mut w = stream;
-                        let _ = write_server_msg(
-                            &mut w,
-                            &ServerMsg::Error("server at capacity".into()),
-                        );
-                        continue;
-                    }
-                    let Ok(tracked) = stream.try_clone() else {
-                        continue;
-                    };
-                    let server = server2.clone();
-                    let tracker3 = tracker2.clone();
-                    tracker3.live.fetch_add(1, Ordering::SeqCst);
-                    accepted.inc();
-                    live_gauge.inc();
-                    let t4 = tracker3.clone();
-                    let live2 = live_gauge.clone();
-                    let closer = tracked.try_clone().ok();
-                    let thread = std::thread::spawn(move || {
-                        handle_connection(stream, &*server, config.read_timeout);
-                        // The tracker holds another clone of this socket,
-                        // so dropping ours does not close it — shut it
-                        // down explicitly so the peer sees EOF now.
-                        if let Some(s) = closer {
-                            let _ = s.shutdown(Shutdown::Both);
-                        }
-                        t4.live.fetch_sub(1, Ordering::SeqCst);
-                        live2.dec();
-                    });
-                    tracker2
-                        .conns
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(Conn {
-                            thread,
-                            stream: tracked,
-                        });
-                }
-                // A transient accept failure (EMFILE, ECONNABORTED, a
-                // half-open handshake torn down...) must not kill the
-                // whole server: back off briefly and keep listening.
-                Err(_) => std::thread::sleep(config.accept_retry),
-            }
-        }
-    });
-    Ok(ServerHandle {
-        addr: local,
-        stop,
-        accept_thread: Some(accept_thread),
-        tracker,
-        workers: Vec::new(),
-        drain_deadline: config.drain_deadline,
-        server,
-    })
-}
-
-/// Runs the message loop for one connection (thread-per-conn engine).
-fn handle_connection(stream: TcpStream, server: &dyn Endpoint, read_timeout: Option<Duration>) {
-    let _ = stream.set_read_timeout(read_timeout);
-    // Replies are small multi-write frames; don't let Nagle sit on them.
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut gauge = WireConnGauge::text();
-    loop {
-        match read_client_msg(&mut reader) {
-            Ok(Some(ClientMsg::Bye)) | Ok(None) => return,
-            Ok(Some(msg)) => {
-                wire_metrics().v1_verbs.inc();
-                let reply = server.handle(&msg);
-                // Negotiation: flip to binary framing after the text
-                // HELLO reply goes out — same engine-owned rule as the
-                // worker pool.
-                let upgrade = matches!(
-                    (&msg, &reply),
-                    (ClientMsg::Hello { .. }, ServerMsg::Hello { version })
-                        if *version >= WIRE_VERSION_BINARY
-                );
-                if write_server_msg(&mut writer, &reply).is_err() {
-                    return;
-                }
-                if upgrade {
-                    gauge.upgrade();
-                    binary_connection_loop(writer, reader, server);
-                    return;
-                }
-            }
-            // An unknown message tag from a newer client: the read
-            // stopped at a clean line boundary, so report it and keep
-            // serving the connection.
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                let reply = ServerMsg::Error(format!("unsupported message: {e}"));
-                if write_server_msg(&mut writer, &reply).is_err() {
-                    return;
-                }
-            }
-            // Read deadline expired (either error kind, depending on
-            // platform), torn framing, or a dead peer: close.
-            Err(_) => return,
-        }
-    }
-}
-
-/// The post-negotiation loop of the thread-per-conn engine: blocking
-/// frame reads, one reply frame per request, `ERROR` on unknown
-/// opcodes. No pipelining depth here — requests are handled strictly
-/// one at a time, but replies still echo the request id so a client
-/// that buffered several sends gets each answered.
-fn binary_connection_loop(
-    mut writer: TcpStream,
-    mut reader: BufReader<TcpStream>,
-    server: &dyn Endpoint,
-) {
-    loop {
-        match read_client_frame(&mut reader) {
-            Ok(None) => return,
-            Ok(Some(FrameRead::Msg {
-                msg: ClientMsg::Bye,
-                ..
-            })) => return,
-            Ok(Some(FrameRead::Msg { req_id, msg, .. })) => {
-                wire_metrics().v2_verbs.inc();
-                let reply = server.handle(&msg);
-                if write_server_frame(&mut writer, req_id, &reply).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(FrameRead::Unknown { req_id, opcode, .. })) => {
-                let reply =
-                    ServerMsg::Error(format!("unsupported message: unknown opcode {opcode}"));
-                if write_server_frame(&mut writer, req_id, &reply).is_err() {
-                    return;
-                }
-            }
-            // The blocking reader never reports Incomplete; treat it as
-            // the stream error it would imply.
-            Ok(Some(FrameRead::Incomplete)) | Err(_) => return,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::TestcaseStore;
     use std::io::{BufReader, Write};
-    use uucs_protocol::wire::{read_server_msg, write_client_msg};
+    use uucs_protocol::wire::{read_server_msg, write_client_msg, Endpoint};
     use uucs_protocol::{MachineSnapshot, ServerMsg};
     use uucs_testcase::{ExerciseSpec, Resource, Testcase};
 
@@ -929,8 +676,12 @@ mod tests {
     }
 
     fn start_with(config: ServeConfig) -> ServerHandle {
+        serve_with(Arc::new(library_server(10)), "127.0.0.1:0", config).unwrap()
+    }
+
+    fn library_server(testcases: usize) -> UucsServer {
         let lib = TestcaseStore::from_testcases(
-            (0..10)
+            (0..testcases)
                 .map(|i| {
                     Testcase::single(
                         format!("t{i}"),
@@ -945,7 +696,61 @@ mod tests {
                 .collect(),
         )
         .expect("generated ids are unique");
-        serve_with(Arc::new(UucsServer::new(lib, 9)), "127.0.0.1:0", config).unwrap()
+        UucsServer::new(lib, 9)
+    }
+
+    /// A peer that pipelines `SYNC` requests and never reads a reply
+    /// must not grow the server's reply buffer without bound: past
+    /// `MAX_OUTBUF` the connection stops reading and parsing input.
+    #[test]
+    fn unread_replies_stop_input_at_the_outbuf_bound() {
+        let server = library_server(2000);
+        let id = match server.handle(&ClientMsg::register(MachineSnapshot::study_machine("hog"))) {
+            ServerMsg::Id { id, .. } => id,
+            other => panic!("{other:?}"),
+        };
+        let sync = ClientMsg::Sync {
+            client: id,
+            have: 0,
+            want: 2000,
+        };
+        let mut one_reply = Vec::new();
+        write_server_msg(&mut one_reply, &server.handle(&sync)).unwrap();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let mut conn = PoolConn::new(accepted).unwrap();
+
+        // Ten bounds' worth of replies, for a few KiB of requests that
+        // the socket buffers hold without blocking this writer.
+        let requests = 10 * MAX_OUTBUF / one_reply.len() + 1;
+        let mut burst = Vec::new();
+        for _ in 0..requests {
+            write_client_msg(&mut burst, &sync).unwrap();
+        }
+        client.write_all(&burst).unwrap();
+
+        let mut max_out = 0;
+        let mut idle_steps = 0;
+        while idle_steps < 100 {
+            match conn.step(&server, None, None) {
+                Step::Keep { progressed: true } => idle_steps = 0,
+                Step::Keep { progressed: false } => {
+                    idle_steps += 1;
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Step::Close => panic!("connection closed while replies were owed"),
+            }
+            max_out = max_out.max(conn.outbuf.len());
+        }
+        assert!(max_out > MAX_OUTBUF, "the burst never reached the bound");
+        assert!(
+            max_out <= MAX_OUTBUF + one_reply.len(),
+            "outbuf grew to {max_out} bytes (bound {MAX_OUTBUF} + one {}-byte reply)",
+            one_reply.len()
+        );
+        drop(client);
     }
 
     #[test]
@@ -995,31 +800,6 @@ mod tests {
 
         write_client_msg(&mut writer, &ClientMsg::Bye).unwrap();
         assert_eq!(handle.server.client_count(), 1);
-        handle.shutdown();
-    }
-
-    /// The same conversation over the legacy engine: flag round-trip
-    /// plus behavioral parity.
-    #[test]
-    fn legacy_thread_per_conn_engine_still_serves() {
-        let config = ServeConfig {
-            engine: EngineMode::ThreadPerConn,
-            ..ServeConfig::default()
-        };
-        assert_eq!(config.engine, EngineMode::ThreadPerConn);
-        let handle = start_with(config);
-        let stream = TcpStream::connect(handle.addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        write_client_msg(
-            &mut writer,
-            &ClientMsg::register(MachineSnapshot::study_machine("legacy")),
-        )
-        .unwrap();
-        assert!(matches!(
-            read_server_msg(&mut reader).unwrap(),
-            ServerMsg::Id { .. }
-        ));
         handle.shutdown();
     }
 
@@ -1117,19 +897,18 @@ mod tests {
         handle.shutdown();
     }
 
-    /// The production defaults: the worker pool is the engine, and the
-    /// connection budget is sized for fleets (descriptors, not threads).
-    /// Changing either is a protocol-level decision, not a refactoring
-    /// accident.
+    /// The production defaults: the connection budget is sized for
+    /// fleets (descriptors, not threads), and the worker count follows
+    /// the machine. Changing either is a protocol-level decision, not a
+    /// refactoring accident.
     #[test]
     fn default_engine_and_cap_are_fleet_scale() {
         let config = ServeConfig::default();
-        assert_eq!(config.engine, EngineMode::WorkerPool);
         assert_eq!(config.max_connections, 4096);
         assert_eq!(config.workers, 0, "0 = size from the machine");
     }
 
-    /// Flag round-trips: explicit engine/cap/worker settings survive
+    /// Flag round-trips: explicit cap/worker settings survive
     /// into the running server's behavior.
     #[test]
     fn config_round_trips_through_serve() {

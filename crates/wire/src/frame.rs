@@ -6,9 +6,10 @@
 //! and now the client wire — tears and corrupts the same way:
 //!
 //! * fewer bytes than the frame declares → **torn**
-//!   ([`std::io::ErrorKind::UnexpectedEof`] from the blocking readers,
-//!   [`FrameRead::Incomplete`] from the incremental one) — wait for
-//!   more bytes or treat as an interrupted send;
+//!   ([`FrameRead::Incomplete`] from the server's incremental request
+//!   parser, [`std::io::ErrorKind::UnexpectedEof`] from the client's
+//!   blocking reply reader) — wait for more bytes or treat as an
+//!   interrupted send;
 //! * checksum mismatch or an implausible declared length →
 //!   **corrupt** (`InvalidData`) — drop the connection, nothing after
 //!   the damage can be trusted;
@@ -59,7 +60,8 @@ pub fn encode_server_frame(req_id: u32, msg: &ServerMsg) -> io::Result<Vec<u8>> 
     Ok(encode_frame(&payload))
 }
 
-/// Outcome of one incremental parse attempt against a growing buffer.
+/// Outcome of one [`try_read_client_frame`] attempt against a growing
+/// buffer; `consumed` always counts bytes from the front of that buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrameRead {
     /// Not enough bytes for a whole frame yet — keep reading; nothing
@@ -88,7 +90,7 @@ pub enum FrameRead {
 }
 
 /// Attempts to parse one client frame from the front of `buf` without
-/// blocking — the worker-pool engine's incremental entry point.
+/// blocking — the server's only client-frame reader.
 /// `Err(InvalidData)` means the connection must be dropped (corrupt
 /// frame, malformed body, or implausible length).
 pub fn try_read_client_frame(buf: &[u8]) -> io::Result<FrameRead> {
@@ -124,28 +126,6 @@ pub fn try_read_client_frame(buf: &[u8]) -> io::Result<FrameRead> {
             req_id,
             opcode,
         }),
-    }
-}
-
-/// Reads one client frame from a blocking stream (the thread-per-conn
-/// engine's loop). `Ok(None)` on clean EOF between frames. An unknown
-/// opcode surfaces as [`FrameRead::Unknown`] with `consumed = 0` (the
-/// stream already advanced past the frame).
-pub fn read_client_frame<R: Read>(r: &mut R) -> io::Result<Option<FrameRead>> {
-    let Some(payload) = read_frame(r, MAX_WIRE_FRAME)? else {
-        return Ok(None);
-    };
-    match codec::decode_client(&payload)? {
-        (req_id, DecodedClient::Msg(msg)) => Ok(Some(FrameRead::Msg {
-            consumed: 0,
-            req_id,
-            msg,
-        })),
-        (req_id, DecodedClient::Unknown(opcode)) => Ok(Some(FrameRead::Unknown {
-            consumed: 0,
-            req_id,
-            opcode,
-        })),
     }
 }
 
@@ -278,39 +258,25 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // Blocking reader agrees.
-        let mut cur = Cursor::new(frame);
-        match read_client_frame(&mut cur).unwrap().unwrap() {
-            FrameRead::Unknown { req_id: 77, opcode: 250, .. } => {}
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
-    fn blocking_readers_roundtrip_and_tear_cleanly() {
-        let frame = encode_client_frame(3, &sync_msg()).unwrap();
-        let mut cur = Cursor::new(frame.clone());
-        match read_client_frame(&mut cur).unwrap().unwrap() {
-            FrameRead::Msg { req_id: 3, msg, .. } => assert_eq!(msg, sync_msg()),
-            other => panic!("{other:?}"),
-        }
-        // Clean EOF between frames is None.
-        assert!(read_client_frame(&mut cur).unwrap().is_none());
-        // Every truncation tears (UnexpectedEof), never parses.
-        for cut in 1..frame.len() {
-            let mut cur = Cursor::new(frame[..cut].to_vec());
-            let err = read_client_frame(&mut cur).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
-        }
-        // Server side: reply roundtrip + EOF-awaiting-reply contract.
+    fn blocking_reply_reader_roundtrips_and_tears_cleanly() {
+        // Reply roundtrip + EOF-awaiting-reply contract.
         let reply = encode_server_frame(3, &ServerMsg::Ack(2)).unwrap();
-        let mut cur = Cursor::new(reply);
+        let mut cur = Cursor::new(reply.clone());
         assert_eq!(
             read_server_frame(&mut cur).unwrap(),
             (3, ServerMsg::Ack(2))
         );
         let err = read_server_frame(&mut cur).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // Every truncation tears (UnexpectedEof), never parses.
+        for cut in 1..reply.len() {
+            let mut cur = Cursor::new(reply[..cut].to_vec());
+            let err = read_server_frame(&mut cur).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+        }
     }
 
     #[test]
@@ -321,9 +287,6 @@ mod tests {
         // that will never come.
         let text = b"REGISTER tok-1\nHOST h1\nEND\n";
         let err = try_read_client_frame(text).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let mut cur = Cursor::new(text.to_vec());
-        let err = read_client_frame(&mut cur).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
