@@ -23,37 +23,7 @@
 //! counts, and delivery orders to hold both claims to "byte-identical".
 
 use std::collections::BTreeMap;
-use uucs_modelsvc::{ComfortModel, QuantileSketch};
-
-/// Folds any number of comfort models into one: epochs sum, cohort
-/// sketches merge per key. The fold is exact and input-order
-/// independent (sketch merge is commutative/associative; the cohort map
-/// is ordered), so it can double as both the node-local shard fold and
-/// the cluster-wide contribution fold.
-pub fn fold_models<I>(models: I) -> ComfortModel
-where
-    I: IntoIterator<Item = ComfortModel>,
-{
-    let mut epoch = 0u64;
-    let mut cohorts: BTreeMap<_, QuantileSketch> = BTreeMap::new();
-    for model in models {
-        let (e, parts) = model.into_parts();
-        epoch += e;
-        for (key, sketch) in parts {
-            match cohorts.entry(key) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(sketch);
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    o.get_mut()
-                        .merge(&sketch)
-                        .expect("cohort sketches of one key share a config");
-                }
-            }
-        }
-    }
-    ComfortModel::from_parts(epoch, cohorts)
-}
+use uucs_modelsvc::ComfortModel;
 
 /// One node's view of the cluster's comfort-model contributions.
 #[derive(Debug, Clone)]
@@ -119,12 +89,14 @@ impl GossipState {
     }
 
     /// The merged cluster-wide model: decode every contribution and
-    /// fold in canonical order. Two nodes with equal contribution maps
-    /// get byte-identical `encode()` output from this.
+    /// fold in canonical order ([`ComfortModel::fold`]). Two nodes with
+    /// equal contribution maps get byte-identical `encode()` output from
+    /// this.
     pub fn merged(&self) -> ComfortModel {
-        fold_models(self.contributions.values().map(|(_, text)| {
+        ComfortModel::fold(self.contributions.values().map(|(_, text)| {
             ComfortModel::decode(text).expect("gossip entries hold valid model encodings")
         }))
+        .expect("cohort sketches of one key share a config")
     }
 }
 

@@ -12,7 +12,8 @@
 //! reconstructs the exact same epoch and byte-identical sketches — the
 //! same recovery contract as the record stores.
 
-use crate::sketch::QuantileSketch;
+use crate::sketch::{MergeError, QuantileSketch};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use uucs_testcase::Resource;
@@ -238,6 +239,31 @@ impl ComfortModel {
     /// Decomposes the model into its epoch and cohort sketches.
     pub fn into_parts(self) -> (u64, BTreeMap<CohortKey, QuantileSketch>) {
         (self.epoch, self.cohorts)
+    }
+
+    /// Folds any number of models into one: epochs sum, cohort sketches
+    /// merge per key. Exact and input-order independent (sketch merge is
+    /// commutative and associative; the cohort map is ordered), so the
+    /// server's shard fold and the cluster's gossip fold agree byte for
+    /// byte. Fails when two sketches of one cohort disagree on their
+    /// bin configuration.
+    pub fn fold<I>(models: I) -> Result<ComfortModel, MergeError>
+    where
+        I: IntoIterator<Item = ComfortModel>,
+    {
+        let mut out = ComfortModel::new();
+        for model in models {
+            out.epoch += model.epoch;
+            for (key, sketch) in model.cohorts {
+                match out.cohorts.entry(key) {
+                    Entry::Vacant(v) => {
+                        v.insert(sketch);
+                    }
+                    Entry::Occupied(mut o) => o.get_mut().merge(&sketch)?,
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Stamps a batch of observations as the *next* epoch's delta. The

@@ -19,6 +19,16 @@
 //! snapshots already fsync under every policy), and batch shape is
 //! observable through the `server.commit.*` telemetry series.
 //!
+//! Deferred rotation is owned here too. With a [`DiskScheduler`], the
+//! committer takes the closing segment's fsync off the append path of
+//! every journal it syncs — the ticketed families of [`StoreFlavor`] —
+//! and its passes drain those deferred syncs, oldest segment first,
+//! before any covered ack is released. Model journals are never synced
+//! by the committer (no reply waits on them), so they keep rotating
+//! inline: a rotation fsyncs the closing segment before the next one
+//! is created, and a crash can never persist a later model segment
+//! without the earlier one.
+//!
 //! Failure semantics: if an fsync fails, the slot is marked failed and
 //! every current and future waiter on that shard gets the error — the
 //! handler answers with a protocol error instead of an ack, exactly as
@@ -26,6 +36,7 @@
 
 use crate::disk::DiskScheduler;
 use crate::shard::StoreSet;
+use crate::store::Journal;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -33,7 +44,11 @@ use std::time::{Duration, Instant};
 use uucs_telemetry::{metrics, Counter, Histogram};
 use uucs_wal::Lsn;
 
-/// Which store family a ticket's append landed in.
+/// Which store family a ticket's append landed in. Model-WAL appends
+/// are deliberately not ticketed: the model is derived state, and a
+/// failed model journal write never blocked an upload ack (the records
+/// are the source of truth), so the committer never syncs model
+/// journals and no reply waits on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreFlavor {
     /// The testcase library.
@@ -45,21 +60,13 @@ pub enum StoreFlavor {
 }
 
 impl StoreFlavor {
-    fn index(self) -> usize {
-        match self {
-            StoreFlavor::Testcases => 0,
-            StoreFlavor::Results => 1,
-            StoreFlavor::Registry => 2,
-        }
-    }
+    /// Every ticketed family, in slot order.
+    const ALL: [StoreFlavor; 3] = [
+        StoreFlavor::Testcases,
+        StoreFlavor::Results,
+        StoreFlavor::Registry,
+    ];
 }
-
-/// The number of ticketed families. Model-WAL appends are deliberately
-/// not ticketed: the model is derived state, and a failed model journal
-/// write never blocked an upload ack before (the records are the source
-/// of truth) — so the committer syncs model shards opportunistically
-/// but no reply waits on them.
-const FLAVORS: usize = 3;
 
 /// A durability watermark: "my append is safe once `upto` LSNs of this
 /// shard's journal are on disk". Handlers capture it under the shard
@@ -109,7 +116,7 @@ pub struct GroupCommitter {
     /// Group window: how long the commit thread gathers appends before
     /// an fsync pass. Zero = sync as soon as anything is pending.
     interval: Duration,
-    counts: [usize; FLAVORS],
+    counts: [usize; StoreFlavor::ALL.len()],
     stopped: AtomicBool,
     metrics: CommitMetrics,
     /// When present, slot fsyncs are submitted to the disk scheduler's
@@ -130,17 +137,22 @@ impl GroupCommitter {
     /// [`GroupCommitter::start`], optionally over a [`DiskScheduler`]:
     /// with one, every fsync pass fans its per-shard syncs out to the
     /// scheduler's I/O threads and redeems the completion tickets, so
-    /// independent shards sync in parallel.
+    /// independent shards sync in parallel, and the ticketed journals
+    /// defer their rotation fsyncs to those passes (see the module
+    /// docs).
     pub fn start_with(
         stores: Arc<StoreSet>,
         interval: Duration,
         scheduler: Option<Arc<DiskScheduler>>,
     ) -> (Arc<Self>, JoinHandle<()>) {
-        let counts = [
-            stores.testcases.count(),
-            stores.results.count(),
-            stores.registry.count(),
-        ];
+        let counts = StoreFlavor::ALL.map(|flavor| stores.shards(flavor));
+        if scheduler.is_some() {
+            for flavor in StoreFlavor::ALL {
+                for shard in 0..stores.shards(flavor) {
+                    stores.journal(flavor, shard, Journal::defer_rotation_sync);
+                }
+            }
+        }
         let slots: usize = counts.iter().sum();
         let committer = Arc::new(GroupCommitter {
             stores,
@@ -171,20 +183,15 @@ impl GroupCommitter {
     }
 
     fn slot(&self, flavor: StoreFlavor, shard: usize) -> usize {
-        let base: usize = self.counts[..flavor.index()].iter().sum();
+        let base: usize = self.counts[..flavor as usize].iter().sum();
         base + shard
     }
 
     fn flavor_shard(&self, slot: usize) -> (StoreFlavor, usize) {
         let mut rest = slot;
-        for (i, &n) in self.counts.iter().enumerate() {
+        for (flavor, &n) in StoreFlavor::ALL.iter().zip(&self.counts) {
             if rest < n {
-                let flavor = match i {
-                    0 => StoreFlavor::Testcases,
-                    1 => StoreFlavor::Results,
-                    _ => StoreFlavor::Registry,
-                };
-                return (flavor, rest);
+                return (*flavor, rest);
             }
             rest -= n;
         }
@@ -195,13 +202,18 @@ impl GroupCommitter {
     /// (Also implicit in `wait`/`poll`; explicit submission lets the
     /// commit window start while the handler still serializes its reply.)
     pub fn submit(&self, flavor: StoreFlavor, shard: usize, upto: Lsn) -> CommitTicket {
-        let slot = self.slot(flavor, shard);
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        self.request(&mut st, self.slot(flavor, shard), upto);
+        CommitTicket { flavor, shard, upto }
+    }
+
+    /// Raises a slot's pending watermark to `upto`, waking the commit
+    /// thread when that is news.
+    fn request(&self, st: &mut CommitState, slot: usize, upto: Lsn) {
         if st.pending[slot] < upto {
             st.pending[slot] = upto;
             self.wake.notify_one();
         }
-        CommitTicket { flavor, shard, upto }
     }
 
     /// Blocks until the ticket's watermark is durable. `Err` means the
@@ -209,10 +221,7 @@ impl GroupCommitter {
     pub fn wait(&self, ticket: CommitTicket) -> Result<(), String> {
         let slot = self.slot(ticket.flavor, ticket.shard);
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.pending[slot] < ticket.upto {
-            st.pending[slot] = ticket.upto;
-            self.wake.notify_one();
-        }
+        self.request(&mut st, slot, ticket.upto);
         loop {
             if let Some(e) = &st.failed[slot] {
                 return Err(e.clone());
@@ -242,10 +251,7 @@ impl GroupCommitter {
         if st.synced[slot] >= ticket.upto {
             return Some(Ok(()));
         }
-        if st.pending[slot] < ticket.upto {
-            st.pending[slot] = ticket.upto;
-            self.wake.notify_one();
-        }
+        self.request(&mut st, slot, ticket.upto);
         if st.stop {
             return Some(Err("server stopped before the commit completed".into()));
         }
@@ -264,22 +270,12 @@ impl GroupCommitter {
         self.done.notify_all();
     }
 
-    /// One fsync over a slot's shard. Takes the shard's write lock —
-    /// handlers hold it only for in-memory appends now, so this is the
-    /// only place the disk wait happens.
-    fn sync_slot(&self, slot: usize) -> std::io::Result<Lsn> {
-        let (flavor, shard) = self.flavor_shard(slot);
-        Self::sync_store(&self.stores, flavor, shard)
-    }
-
-    /// The actual per-shard sync, callable from a scheduler thread
-    /// (the shard's write lock is what serializes against handlers).
-    fn sync_store(stores: &StoreSet, flavor: StoreFlavor, shard: usize) -> std::io::Result<Lsn> {
-        match flavor {
-            StoreFlavor::Testcases => stores.testcases.write_recovered(shard).sync_wal(),
-            StoreFlavor::Results => stores.results.write_recovered(shard).sync_wal(),
-            StoreFlavor::Registry => stores.registry.write_recovered(shard).sync_wal(),
-        }
+    /// One fsync over a slot's shard, callable from a scheduler thread.
+    /// Takes the shard's write lock — handlers hold it only for
+    /// in-memory appends, so this is the only place the disk wait
+    /// happens, and the lock is what serializes against them.
+    fn sync_slot(stores: &StoreSet, (flavor, shard): (StoreFlavor, usize)) -> std::io::Result<Lsn> {
+        stores.journal(flavor, shard, Journal::sync)
     }
 
     /// Publishes one slot's sync outcome: watermark advance (+ metrics)
@@ -345,9 +341,9 @@ impl GroupCommitter {
                 let tickets: Vec<_> = work
                     .iter()
                     .map(|&(slot, since)| {
-                        let (flavor, shard) = self.flavor_shard(slot);
+                        let target = self.flavor_shard(slot);
                         let stores = self.stores.clone();
-                        let ticket = sched.submit(move || Self::sync_store(&stores, flavor, shard));
+                        let ticket = sched.submit(move || Self::sync_slot(&stores, target));
                         (slot, since, ticket)
                     })
                     .collect();
@@ -359,7 +355,7 @@ impl GroupCommitter {
             } else {
                 for (slot, since) in work {
                     let t0 = Instant::now();
-                    let outcome = self.sync_slot(slot);
+                    let outcome = Self::sync_slot(&self.stores, self.flavor_shard(slot));
                     let elapsed = t0.elapsed().as_nanos() as u64;
                     self.finish_slot(slot, since, outcome, elapsed);
                 }

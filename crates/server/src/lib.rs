@@ -13,13 +13,13 @@
 //! sample without duplicates, and the collection of clients covers the
 //! library uniformly.
 //!
-//! Both stores optionally journal through a write-ahead log
-//! (`uucs-wal`, see [`store::TestcaseStore::open_wal`] and
-//! [`store::ResultStore::open_wal`]): every accepted upload or testcase
-//! addition is framed, checksummed and (policy permitting) fsynced
-//! before the client sees an `Ack`, and restarting the server replays
-//! the journal — so a crash between the paper's periodic whole-file
-//! checkpoints no longer loses acknowledged results.
+//! Every store optionally journals through a write-ahead log
+//! (`uucs-wal`, through the one core [`store::Journaled`]): every
+//! accepted upload or testcase addition is framed, checksummed and
+//! (policy permitting) fsynced before the client sees an `Ack`, and
+//! restarting the server replays the journal — so a crash between the
+//! paper's periodic whole-file checkpoints no longer loses acknowledged
+//! results.
 //!
 //! The [`models`] module closes the borrowing loop (`uucs-modelsvc`):
 //! every applied upload batch is folded into cohort-keyed discomfort

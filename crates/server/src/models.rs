@@ -15,16 +15,13 @@
 //! the model actually advanced, so a fleet of clients polling `MODEL`
 //! between uploads costs one `HashMap` hit each.
 
-use crate::store::{invalid, WalTelemetry};
+use crate::store::{foreign, invalid, Journaled, StoreState};
 use std::collections::HashMap;
 use std::io;
-use std::path::Path;
-use std::sync::Mutex;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use uucs_modelsvc::{ComfortModel, Observation, QuantileSketch};
 use uucs_protocol::{RunOutcome, RunRecord, WalEntry};
 use uucs_telemetry::{metrics, Counter, Gauge, Histogram};
-use uucs_wal::{Recovery, StdIo, Wal, WalConfig};
 
 /// Telemetry handles for the model service, registered once.
 struct ModelMetrics {
@@ -85,85 +82,55 @@ struct CachedMerge {
     encoded: String,
 }
 
-/// The server's comfort-model state: the cohort model, its optional WAL,
-/// and the per-epoch query cache.
-pub struct ModelStore {
+/// The comfort-model store's state: the cohort model and the per-epoch
+/// query cache.
+#[derive(Default)]
+pub struct ModelState {
     model: ComfortModel,
-    wal: Option<Wal<StdIo>>,
     /// Merged-query cache keyed by `(resource name, task)`. Interior
     /// mutability because queries come in through read locks; entries
     /// are invalidated by epoch tag, not eviction.
     cache: Mutex<HashMap<(&'static str, Option<String>), CachedMerge>>,
 }
 
-impl Default for ModelStore {
-    fn default() -> Self {
-        Self::new()
+impl StoreState for ModelState {
+    const FLAVOR: &'static str = "model";
+    const JOURNAL: &'static str = "model";
+
+    /// Snapshot = the full model ([`ComfortModel::encode`]).
+    fn decode(text: &str) -> io::Result<Self> {
+        let model = ComfortModel::decode(text).map_err(invalid)?;
+        Ok(ModelState {
+            model,
+            cache: Mutex::default(),
+        })
+    }
+
+    fn encode(&self) -> String {
+        self.model.encode()
+    }
+
+    /// Entries = epoch deltas, applied strictly in order.
+    fn apply(&mut self, entry: WalEntry) -> io::Result<()> {
+        match entry {
+            WalEntry::Model(delta) => self.model.apply(&delta).map_err(invalid),
+            _ => Err(foreign::<Self>()),
+        }
+    }
+
+    fn recovered(&self) {
+        model_metrics().epoch.set(self.model.epoch() as i64);
     }
 }
 
+/// The server's comfort-model store: the cohort model, its optional
+/// WAL, and the per-epoch query cache.
+pub type ModelStore = Journaled<ModelState>;
+
 impl ModelStore {
-    /// An empty, non-durable model store at epoch 0.
-    pub fn new() -> Self {
-        ModelStore {
-            model: ComfortModel::new(),
-            wal: None,
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Opens (creating if necessary) a WAL-backed model store: replays
-    /// the journal under `dir` (snapshot = full model, entries = epoch
-    /// deltas) and journals every subsequent update before applying it.
-    pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(StdIo::new(), dir, config)?;
-        WalTelemetry::install(&mut wal, "model");
-        let mut model = ComfortModel::new();
-        if let Some(snap) = recovery.snapshot.take() {
-            let text = std::str::from_utf8(&snap.state).map_err(invalid)?;
-            model = ComfortModel::decode(text).map_err(invalid)?;
-        }
-        for item in wal.replay() {
-            let (lsn, payload) = item?;
-            match WalEntry::decode(&payload).map_err(invalid)? {
-                WalEntry::Model(delta) => model
-                    .apply(&delta)
-                    .map_err(|e| invalid(format!("record {lsn}: {e}")))?,
-                _ => {
-                    return Err(invalid(format!(
-                        "record {lsn}: foreign entry in a model journal"
-                    )))
-                }
-            }
-        }
-        model_metrics().epoch.set(model.epoch() as i64);
-        Ok((
-            ModelStore {
-                model,
-                wal: Some(wal),
-                cache: Mutex::new(HashMap::new()),
-            },
-            recovery,
-        ))
-    }
-
-    /// True when updates are journaled through a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Defers segment-rotation fsyncs to the next explicit sync pass
-    /// (the group committer's), keeping rotation off the append path.
-    /// No-op in plain mode.
-    pub fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        if let Some(wal) = &mut self.wal {
-            wal.set_deferred_rotation_sync(defer);
-        }
-    }
-
     /// The current model epoch.
     pub fn epoch(&self) -> u64 {
-        self.model.epoch()
+        self.state.model.epoch()
     }
 
     /// Folds an applied upload batch into the model as one epoch.
@@ -175,22 +142,17 @@ impl ModelStore {
     /// so recovery replays the identical epoch sequence.
     pub fn observe_batch(&mut self, observations: Vec<Observation>) -> io::Result<u64> {
         if observations.is_empty() {
-            return Ok(self.model.epoch());
+            return Ok(self.epoch());
         }
         let m = model_metrics();
         let timer = m.update_ns.start_timer();
         let count = observations.len() as u64;
-        let delta = self.model.next_delta(observations);
-        if let Some(wal) = &mut self.wal {
-            wal.append(&WalEntry::Model(delta.clone()).encode())?;
-        }
-        self.model
-            .apply(&delta)
-            .map_err(|e| invalid(format!("model delta rejected: {e}")))?;
+        let delta = self.state.model.next_delta(observations);
+        self.commit(WalEntry::Model(delta))?;
         m.observations.add(count);
-        m.epoch.set(self.model.epoch() as i64);
+        m.epoch.set(self.epoch() as i64);
         drop(timer);
-        Ok(self.model.epoch())
+        Ok(self.epoch())
     }
 
     /// Counts a failed model update (the journal refused the delta). The
@@ -208,15 +170,15 @@ impl ModelStore {
         resource: uucs_testcase::Resource,
         task: Option<&str>,
     ) -> (u64, u64, u64, String) {
-        let epoch = self.model.epoch();
+        let epoch = self.epoch();
         let key = (resource.name(), task.map(str::to_string));
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let mut cache = self.state.cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(hit) = cache.get(&key) {
             if hit.epoch == epoch {
                 return (epoch, hit.observed, hit.censored, hit.encoded.clone());
             }
         }
-        let sketch = self.model.merged(resource, task);
+        let sketch = self.state.model.merged(resource, task);
         let entry = CachedMerge {
             epoch,
             observed: sketch.observed(),
@@ -236,9 +198,10 @@ impl ModelStore {
         task: &str,
         epsilon: f64,
     ) -> Option<(u64, f64)> {
-        self.model
+        self.state
+            .model
             .advice(resource, task, epsilon)
-            .map(|level| (self.model.epoch(), level))
+            .map(|level| (self.epoch(), level))
     }
 
     /// Direct access to the merged sketch (tests, offline analysis).
@@ -247,36 +210,18 @@ impl ModelStore {
         resource: uucs_testcase::Resource,
         task: Option<&str>,
     ) -> QuantileSketch {
-        self.model.merged(resource, task)
-    }
-
-    /// The LSN the next journal append would get (`None` in plain mode)
-    /// — the group-commit durability watermark.
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.next_lsn())
-    }
-
-    /// Forces everything journaled so far to stable storage, returning
-    /// the covered watermark. `Ok(0)` in plain mode.
-    pub fn sync_wal(&mut self) -> io::Result<u64> {
-        match &mut self.wal {
-            Some(wal) => {
-                wal.sync()?;
-                Ok(wal.next_lsn())
-            }
-            None => Ok(0),
-        }
+        self.state.model.merged(resource, task)
     }
 
     /// Consumes the store, yielding the model (shard migration).
     pub fn into_model(self) -> ComfortModel {
-        self.model
+        self.state.model
     }
 
     /// The model this shard holds — gossip reads it to build the node's
     /// own contribution without disturbing the store.
     pub fn model(&self) -> &ComfortModel {
-        &self.model
+        &self.state.model
     }
 
     /// Replaces the model wholesale and, in durable mode, checkpoints it
@@ -284,23 +229,11 @@ impl ModelStore {
     /// not arrive as deltas. The snapshot supersedes any journal tail,
     /// so a reopened store serves exactly the installed model.
     pub fn install_model(&mut self, model: ComfortModel) -> io::Result<()> {
-        self.model = model;
-        self.cache.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        model_metrics().epoch.set(self.model.epoch() as i64);
-        if self.wal.is_some() {
-            self.compact()?;
-        }
-        Ok(())
-    }
-
-    /// Folds the journal into a full-model checkpoint and deletes the
-    /// segments it covers. Returns `false` (doing nothing) in plain mode.
-    pub fn compact(&mut self) -> io::Result<bool> {
-        let Some(wal) = &mut self.wal else {
-            return Ok(false);
+        self.state = ModelState {
+            model,
+            cache: Mutex::default(),
         };
-        wal.snapshot(self.model.encode().as_bytes())?;
-        wal.compact()?;
-        Ok(true)
+        model_metrics().epoch.set(self.epoch() as i64);
+        self.compact().map(|_| ())
     }
 }

@@ -18,7 +18,7 @@ use crate::shard::{Sharded, StoreSet};
 use crate::store::{BatchStatus, RegistryStore, ResultStore, StoreError, TestcaseStore};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use uucs_modelsvc::{ComfortModel, QuantileSketch};
@@ -143,6 +143,23 @@ fn poisoned(what: &str) -> ServerMsg {
     ServerMsg::Error(format!(
         "internal: {what} store was poisoned by an earlier panic; recovered, retry"
     ))
+}
+
+/// One model query merged across every model shard, with the epoch sum,
+/// both from one set of read guards so they describe the same instant.
+/// Sketch merges are exact, so sharding is invisible here.
+fn merge_shards(
+    guards: &[RwLockReadGuard<'_, ModelStore>],
+    resource: uucs_testcase::Resource,
+    task: Option<&str>,
+) -> (u64, QuantileSketch) {
+    let mut merged = QuantileSketch::for_resource(resource);
+    for g in guards {
+        merged
+            .merge(&g.merged_sketch(resource, task))
+            .expect("shard sketches of one resource share a config");
+    }
+    (guards.iter().map(|g| g.epoch()).sum(), merged)
 }
 
 /// Where a leader ships every committed mutation. Implemented by the
@@ -309,11 +326,6 @@ impl UucsServer {
     /// committer's batched fsync instead of paying its own. `interval`
     /// is the gathering window per fsync pass.
     pub fn with_group_commit(mut self, interval: Duration) -> Self {
-        if self.io_scheduler.is_some() {
-            // The committer's regular sync passes drain deferred
-            // rotation syncs, so rotation can leave the append path.
-            self.stores.set_deferred_rotation_sync(true);
-        }
         let (committer, handle) = GroupCommitter::start_with(
             self.stores.clone(),
             interval,
@@ -349,9 +361,7 @@ impl UucsServer {
     /// shard mints its own epochs; only the sum — still monotone — is
     /// client-visible).
     pub fn model_epoch(&self) -> u64 {
-        (0..self.stores.models.count())
-            .map(|i| self.stores.models.read(i).epoch())
-            .sum()
+        self.stores.models.sum(|m| m.epoch())
     }
 
     /// The merged comfort-model sketch for a resource (optionally one
@@ -362,13 +372,7 @@ impl UucsServer {
         resource: uucs_testcase::Resource,
         task: Option<&str>,
     ) -> QuantileSketch {
-        let guards = self.stores.models.read_all();
-        let mut out = QuantileSketch::for_resource(resource);
-        for g in &guards {
-            out.merge(&g.merged_sketch(resource, task))
-                .expect("shard sketches of one resource share a config");
-        }
-        out
+        merge_shards(&self.stores.models.read_all(), resource, task).1
     }
 
     /// Adds a testcase to the library at runtime ("new testcases ... can
@@ -381,8 +385,7 @@ impl UucsServer {
         guard.add(tc.clone())?;
         let lsn = guard.wal_next_lsn();
         drop(guard);
-        self.replicate(&WalEntry::Testcase(tc))
-            .map_err(StoreError::Io)?;
+        self.replicate(&WalEntry::Testcase(tc))?;
         if let Some(ticket) = self.ticket(StoreFlavor::Testcases, shard, lsn) {
             self.committer
                 .as_ref()
@@ -396,34 +399,17 @@ impl UucsServer {
     /// Folds every store's journal into a checkpoint and drops the
     /// covered segments. A no-op (returning `false`) for plain stores.
     pub fn compact(&self) -> std::io::Result<bool> {
-        let mut any = false;
-        for i in 0..self.stores.testcases.count() {
-            any |= self.stores.testcases.write_recovered(i).compact()?;
-        }
-        for i in 0..self.stores.results.count() {
-            any |= self.stores.results.write_recovered(i).compact()?;
-        }
-        for i in 0..self.stores.registry.count() {
-            any |= self.stores.registry.write_recovered(i).compact()?;
-        }
-        for i in 0..self.stores.models.count() {
-            any |= self.stores.models.write_recovered(i).compact()?;
-        }
-        Ok(any)
+        self.stores.compact()
     }
 
     /// Number of testcases in the library.
     pub fn testcase_count(&self) -> usize {
-        (0..self.stores.testcases.count())
-            .map(|i| self.stores.testcases.read(i).len())
-            .sum()
+        self.stores.testcases.sum(|s| s.len())
     }
 
     /// Number of uploaded result records.
     pub fn result_count(&self) -> usize {
-        (0..self.stores.results.count())
-            .map(|i| self.stores.results.read(i).len())
-            .sum()
+        self.stores.results.sum(|s| s.len())
     }
 
     /// Snapshot of all uploaded results (cloned), shard order.
@@ -437,9 +423,7 @@ impl UucsServer {
 
     /// Number of registered clients.
     pub fn client_count(&self) -> usize {
-        (0..self.stores.registry.count())
-            .map(|i| self.stores.registry.read(i).len())
-            .sum()
+        self.stores.registry.sum(|s| s.len())
     }
 
     /// The registered snapshot for a client id.
@@ -488,9 +472,7 @@ impl UucsServer {
                 let shard = self.stores.testcases.shard_for(tc.id.as_str());
                 let mut guard = self.stores.testcases.write_recovered(shard);
                 if guard.get(tc.id.as_str()).is_none() {
-                    guard
-                        .add(tc.clone())
-                        .map_err(|e| crate::store::invalid(e.to_string()))?;
+                    guard.add(tc.clone())?;
                 }
                 Ok(())
             }
@@ -503,8 +485,7 @@ impl UucsServer {
                 let shard = self.stores.registry.shard_for(id);
                 let mut reg = self.stores.registry.write_recovered(shard);
                 if reg.get(id).is_none() {
-                    reg.register_with_id(id.clone(), snapshot.clone(), token)
-                        .map_err(|e| crate::store::invalid(e.to_string()))?;
+                    reg.register_with_id(id.clone(), snapshot.clone(), token)?;
                     let len = reg.len();
                     drop(reg);
                     self.shard_gauges.registry[shard].set(len as i64);
@@ -523,9 +504,7 @@ impl UucsServer {
             } => {
                 let shard = self.stores.results.shard_for(client);
                 let mut results = self.stores.results.write_recovered(shard);
-                results
-                    .append_batch(client, *seq, records.clone())
-                    .map_err(|e| crate::store::invalid(e.to_string()))?;
+                results.append_batch(client, *seq, records.clone())?;
                 let len = results.len();
                 drop(results);
                 self.shard_gauges.results[shard].set(len as i64);
@@ -536,8 +515,7 @@ impl UucsServer {
                 self.stores
                     .results
                     .write_recovered(shard)
-                    .append(vec![rec.clone()])
-                    .map_err(|e| crate::store::invalid(e.to_string()))?;
+                    .append(vec![rec.clone()])?;
                 Ok(())
             }
             WalEntry::Model(_) => Ok(()),
@@ -571,9 +549,7 @@ impl UucsServer {
             .filter(|r| !results.all().iter().any(|have| have == *r))
             .cloned()
             .collect();
-        results
-            .append_batch(client, *seq, fresh)
-            .map_err(|e| crate::store::invalid(e.to_string()))?;
+        results.append_batch(client, *seq, fresh)?;
         let len = results.len();
         drop(results);
         self.shard_gauges.results[shard].set(len as i64);
@@ -634,26 +610,8 @@ impl UucsServer {
     /// Deterministic — `BTreeMap` ordering makes the encode canonical.
     pub fn model_contribution(&self) -> ComfortModel {
         let guards = self.stores.models.read_all();
-        let mut epoch = 0u64;
-        let mut cohorts: std::collections::BTreeMap<_, QuantileSketch> =
-            std::collections::BTreeMap::new();
-        for g in &guards {
-            let model = g.model();
-            epoch += model.epoch();
-            for (key, sketch) in model.cohorts() {
-                match cohorts.entry(key.clone()) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(sketch.clone());
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        o.get_mut()
-                            .merge(sketch)
-                            .expect("cohort sketches of one key share a config");
-                    }
-                }
-            }
-        }
-        ComfortModel::from_parts(epoch, cohorts)
+        ComfortModel::fold(guards.iter().map(|g| g.model().clone()))
+            .expect("cohort sketches of one key share a config")
     }
 
     /// Installs a merged cluster-wide comfort model (shard 0; the other
@@ -782,14 +740,8 @@ impl UucsServer {
                 let (epoch, observed, censored, sketch) = if self.stores.models.count() == 1 {
                     self.stores.models.read(0).merged(*resource, task.as_deref())
                 } else {
-                    let guards = self.stores.models.read_all();
-                    let epoch: u64 = guards.iter().map(|g| g.epoch()).sum();
-                    let mut merged = QuantileSketch::for_resource(*resource);
-                    for g in &guards {
-                        merged
-                            .merge(&g.merged_sketch(*resource, task.as_deref()))
-                            .expect("shard sketches of one resource share a config");
-                    }
+                    let (epoch, merged) =
+                        merge_shards(&self.stores.models.read_all(), *resource, task.as_deref());
                     (epoch, merged.observed(), merged.censored(), merged.encode())
                 };
                 // Remember what this epoch looked like: a client holding
@@ -817,41 +769,19 @@ impl UucsServer {
                 task,
                 epsilon,
             } => {
-                let reply = if self.stores.models.count() == 1 {
-                    match self.stores.models.read(0).advice(*resource, task, *epsilon) {
-                        Some((epoch, level)) => ServerMsg::Advice { epoch, level },
-                        None => ServerMsg::Error(format!(
-                            "no comfort model for {resource} yet (no observations uploaded)"
-                        )),
-                    }
-                } else {
-                    // Same preference as the single-store path: the
-                    // task-contextual sketch when it has observations,
-                    // else the resource aggregate — each merged across
-                    // every shard first.
-                    let guards = self.stores.models.read_all();
-                    let epoch: u64 = guards.iter().map(|g| g.epoch()).sum();
-                    let mut contextual = QuantileSketch::for_resource(*resource);
-                    let mut aggregate = QuantileSketch::for_resource(*resource);
-                    for g in &guards {
-                        contextual
-                            .merge(&g.merged_sketch(*resource, Some(task)))
-                            .expect("shard sketches of one resource share a config");
-                        aggregate
-                            .merge(&g.merged_sketch(*resource, None))
-                            .expect("shard sketches of one resource share a config");
-                    }
-                    let pick = if contextual.observed() > 0 {
-                        &contextual
-                    } else {
-                        &aggregate
-                    };
-                    match pick.advice_level(*epsilon) {
-                        Some(level) => ServerMsg::Advice { epoch, level },
-                        None => ServerMsg::Error(format!(
-                            "no comfort model for {resource} yet (no observations uploaded)"
-                        )),
-                    }
+                // The task-contextual sketch when it has observations,
+                // else the resource aggregate (`ComfortModel::advice`'s
+                // preference), each merged across every shard.
+                let guards = self.stores.models.read_all();
+                let (epoch, mut pick) = merge_shards(&guards, *resource, Some(task));
+                if pick.observed() == 0 {
+                    pick = merge_shards(&guards, *resource, None).1;
+                }
+                let reply = match pick.advice_level(*epsilon) {
+                    Some(level) => ServerMsg::Advice { epoch, level },
+                    None => ServerMsg::Error(format!(
+                        "no comfort model for {resource} yet (no observations uploaded)"
+                    )),
                 };
                 (reply, None)
             }
@@ -909,17 +839,8 @@ impl UucsServer {
         since: u64,
         basecrc: u32,
     ) -> ServerMsg {
-        // One guard acquisition, so the epoch and the merged sketch
-        // describe the same instant.
-        let guards = self.stores.models.read_all();
-        let epoch: u64 = guards.iter().map(|g| g.epoch()).sum();
-        let mut merged = QuantileSketch::for_resource(resource);
-        for g in &guards {
-            merged
-                .merge(&g.merged_sketch(resource, task.as_deref()))
-                .expect("shard sketches of one resource share a config");
-        }
-        drop(guards);
+        let (epoch, merged) =
+            merge_shards(&self.stores.models.read_all(), resource, task.as_deref());
         let encoded = merged.encode();
         self.record_delta_base(resource, task, epoch, &encoded);
         if let Some(delta) = self.delta_against(resource, task, since, basecrc, epoch, &merged, &encoded)

@@ -25,9 +25,13 @@
 //! exactly one logical state — the property the reshard recovery test
 //! pins down.
 
+use crate::commit::StoreFlavor;
 use crate::disk::StorageProfile;
-use crate::models::ModelStore;
-use crate::store::{invalid, RegistryStore, ResultStore, TestcaseStore};
+use crate::models::{ModelState, ModelStore};
+use crate::store::{
+    invalid, Journal, Journaled, Registry, RegistryStore, ResultStore, Results, StoreState,
+    TestcaseStore, Testcases,
+};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -86,6 +90,11 @@ impl<T> Sharded<T> {
         self.shards[shard]
             .read()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sums `f` over every shard, read-locking one shard at a time.
+    pub fn sum<N: std::iter::Sum>(&self, f: impl Fn(&T) -> N) -> N {
+        (0..self.count()).map(|i| f(&self.read(i))).sum()
     }
 
     /// Read-locks every shard (in index order), for whole-family
@@ -187,31 +196,35 @@ fn write_ready(layout_dir: &Path, generation: u64) -> io::Result<()> {
     f.sync_all()
 }
 
-/// What a store family must provide to live under [`Sharded`] with a
-/// per-shard WAL: how to open one shard's journal, and how to
-/// repartition recovered state when the shard count changes.
-trait ShardFamily: Sized {
+/// What a store family adds to live under [`Sharded`] with a per-shard
+/// WAL: how to merge recovered shards into one logical state, and how
+/// to load one shard's partition of it when the shard count changes.
+/// Opening and checkpointing each shard is the journaled core's job.
+trait ShardFamily {
+    /// The family's state inside the journaled core.
+    type State: StoreState;
     /// The merged logical state of the whole family, hash-partitionable.
-    type State;
-    /// Opens (replaying) one shard's WAL directory.
-    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)>;
+    type Merged;
     /// Merges recovered source shards into the family's logical state.
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State>;
-    /// Loads shard `shard`-of-`n`'s partition of `state` into a fresh
+    fn extract(stores: Vec<Journaled<Self::State>>) -> io::Result<Self::Merged>;
+    /// Loads shard `shard`-of-`n`'s partition of `merged` into a fresh
     /// (just-opened, empty) store.
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()>;
-    /// Folds the freshly loaded state into a checkpoint.
-    fn checkpoint(&mut self) -> io::Result<()>;
+    fn load_part(
+        store: &mut Journaled<Self::State>,
+        merged: &Self::Merged,
+        shard: usize,
+        n: usize,
+    ) -> io::Result<()>;
 }
+
+/// A family's opened shards, with each shard's recovery report.
+type Opened<F> = (Sharded<Journaled<<F as ShardFamily>::State>>, Vec<Recovery>);
 
 /// Opens a family of `n` WAL shards under `dir`, migrating from a
 /// different committed shard count (or the legacy flat layout) when
 /// needed. See the module docs for the crash-safety protocol.
-fn open_sharded<F: ShardFamily>(
-    dir: &Path,
-    cfg: WalConfig,
-    n: usize,
-) -> io::Result<(Sharded<F>, Vec<Recovery>)> {
+fn open_sharded<F: ShardFamily>(dir: &Path, cfg: WalConfig, n: usize) -> io::Result<Opened<F>> {
+    let open = |dir: &Path| Journaled::<F::State>::open_wal(dir, cfg);
     if n == 0 {
         return Err(invalid("shard count must be at least 1"));
     }
@@ -223,24 +236,24 @@ fn open_sharded<F: ShardFamily>(
     // Fast path: one shard, nothing ever sharded — the legacy flat WAL,
     // byte-compatible with pre-sharding data directories.
     if n == 1 && current.is_none() {
-        let (store, rec) = F::open_dir(dir, cfg)?;
+        let (store, rec) = open(dir)?;
         return Ok((Sharded::new(vec![store]), vec![rec]));
     }
 
     let target = dir.join(format!("by-{n}"));
     if current.as_ref().map(|c| c.shards) != Some(n) {
         // Migrate: replay the source, repartition by hash, rebuild.
-        let state = match &current {
+        let merged = match &current {
             Some(cur) => {
                 let mut sources = Vec::with_capacity(cur.shards);
                 for i in 0..cur.shards {
-                    let (s, _) = F::open_dir(&cur.path.join(shard_dirname(i)), cfg)?;
+                    let (s, _) = open(&cur.path.join(shard_dirname(i)))?;
                     sources.push(s);
                 }
                 Some(F::extract(sources)?)
             }
             None if has_flat_files(dir)? => {
-                let (s, _) = F::open_dir(dir, cfg)?;
+                let (s, _) = open(dir)?;
                 Some(F::extract(vec![s])?)
             }
             None => None,
@@ -250,11 +263,11 @@ fn open_sharded<F: ShardFamily>(
             std::fs::remove_dir_all(&target)?;
         }
         for i in 0..n {
-            let (mut s, _) = F::open_dir(&target.join(shard_dirname(i)), cfg)?;
-            if let Some(state) = &state {
-                s.load_part(state, i, n)?;
+            let (mut s, _) = open(&target.join(shard_dirname(i)))?;
+            if let Some(merged) = &merged {
+                F::load_part(&mut s, merged, i, n)?;
             }
-            s.checkpoint()?;
+            s.compact()?;
         }
         // Commit point. Until this marker lands, recovery still sees the
         // source layout; after it, the higher generation wins even if
@@ -281,7 +294,7 @@ fn open_sharded<F: ShardFamily>(
     let mut stores = Vec::with_capacity(n);
     let mut recoveries = Vec::with_capacity(n);
     for i in 0..n {
-        let (s, r) = F::open_dir(&target.join(shard_dirname(i)), cfg)?;
+        let (s, r) = open(&target.join(shard_dirname(i)))?;
         stores.push(s);
         recoveries.push(r);
     }
@@ -289,41 +302,36 @@ fn open_sharded<F: ShardFamily>(
 }
 
 impl ShardFamily for TestcaseStore {
-    type State = Vec<uucs_testcase::Testcase>;
+    type State = Testcases;
+    type Merged = Vec<uucs_testcase::Testcase>;
 
-    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        TestcaseStore::open_wal(dir, cfg)
-    }
-
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
+    fn extract(stores: Vec<TestcaseStore>) -> io::Result<Self::Merged> {
         Ok(stores
             .into_iter()
             .flat_map(TestcaseStore::into_testcases)
             .collect())
     }
 
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
-        for tc in state {
+    fn load_part(
+        store: &mut TestcaseStore,
+        merged: &Self::Merged,
+        shard: usize,
+        n: usize,
+    ) -> io::Result<()> {
+        for tc in merged {
             if shard_of(tc.id.as_str(), n) == shard {
-                self.add(tc.clone()).map_err(invalid)?;
+                store.add(tc.clone())?;
             }
         }
         Ok(())
     }
-
-    fn checkpoint(&mut self) -> io::Result<()> {
-        self.compact().map(|_| ())
-    }
 }
 
 impl ShardFamily for ResultStore {
-    type State = (Vec<uucs_protocol::RunRecord>, BTreeMap<String, u64>);
+    type State = Results;
+    type Merged = (Vec<uucs_protocol::RunRecord>, BTreeMap<String, u64>);
 
-    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        ResultStore::open_wal(dir, cfg)
-    }
-
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
+    fn extract(stores: Vec<ResultStore>) -> io::Result<Self::Merged> {
         let mut records = Vec::new();
         let mut horizons: BTreeMap<String, u64> = BTreeMap::new();
         for s in stores {
@@ -337,13 +345,17 @@ impl ShardFamily for ResultStore {
         Ok((records, horizons))
     }
 
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
-        let (records, horizons) = state;
+    fn load_part(
+        store: &mut ResultStore,
+        (records, horizons): &Self::Merged,
+        shard: usize,
+        n: usize,
+    ) -> io::Result<()> {
         // Horizons first: an empty batch at the horizon seq journals the
         // idempotency watermark without touching the record stream.
         for (client, seq) in horizons {
             if shard_of(client, n) == shard {
-                self.append_batch(client, *seq, Vec::new()).map_err(invalid)?;
+                store.append_batch(client, *seq, Vec::new())?;
             }
         }
         let mine: Vec<_> = records
@@ -351,28 +363,19 @@ impl ShardFamily for ResultStore {
             .filter(|r| shard_of(&r.client, n) == shard)
             .cloned()
             .collect();
-        if !mine.is_empty() {
-            self.append(mine).map_err(invalid)?;
-        }
+        store.append(mine)?;
         Ok(())
-    }
-
-    fn checkpoint(&mut self) -> io::Result<()> {
-        self.compact().map(|_| ())
     }
 }
 
 impl ShardFamily for RegistryStore {
-    type State = (
+    type State = Registry;
+    type Merged = (
         Vec<(String, uucs_protocol::MachineSnapshot)>,
         Vec<(String, String)>,
     );
 
-    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        RegistryStore::open_wal(dir, cfg)
-    }
-
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
+    fn extract(stores: Vec<RegistryStore>) -> io::Result<Self::Merged> {
         let mut clients = Vec::new();
         let mut tokens = Vec::new();
         for s in stores {
@@ -383,8 +386,12 @@ impl ShardFamily for RegistryStore {
         Ok((clients, tokens))
     }
 
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
-        let (clients, tokens) = state;
+    fn load_part(
+        store: &mut RegistryStore,
+        (clients, tokens): &Self::Merged,
+        shard: usize,
+        n: usize,
+    ) -> io::Result<()> {
         for (id, snap) in clients {
             if shard_of(id, n) != shard {
                 continue;
@@ -394,14 +401,9 @@ impl ShardFamily for RegistryStore {
                 .find(|(_, tid)| tid == id)
                 .map(|(t, _)| t.as_str())
                 .unwrap_or("");
-            self.register_with_id(id.clone(), snap.clone(), token)
-                .map_err(invalid)?;
+            store.register_with_id(id.clone(), snap.clone(), token)?;
         }
         Ok(())
-    }
-
-    fn checkpoint(&mut self) -> io::Result<()> {
-        self.compact().map(|_| ())
     }
 }
 
@@ -411,50 +413,31 @@ pub(crate) fn cohort_key_token(key: &CohortKey) -> String {
 }
 
 impl ShardFamily for ModelStore {
-    type State = (u64, BTreeMap<CohortKey, QuantileSketch>);
+    type State = ModelState;
+    type Merged = ComfortModel;
 
-    fn open_dir(dir: &Path, cfg: WalConfig) -> io::Result<(Self, Recovery)> {
-        ModelStore::open_wal(dir, cfg)
+    /// The global epoch is the *sum* of shard epochs (each shard mints
+    /// its own); cohort sketches merge exactly, so the merged model is
+    /// identical no matter how the cohorts were spread.
+    fn extract(stores: Vec<ModelStore>) -> io::Result<Self::Merged> {
+        ComfortModel::fold(stores.into_iter().map(ModelStore::into_model)).map_err(invalid)
     }
 
-    fn extract(stores: Vec<Self>) -> io::Result<Self::State> {
-        // The global epoch is the *sum* of shard epochs (each shard
-        // mints its own); cohort sketches merge exactly, so the merged
-        // model is identical no matter how the cohorts were spread.
-        let mut epoch = 0u64;
-        let mut cohorts: BTreeMap<CohortKey, QuantileSketch> = BTreeMap::new();
-        for s in stores {
-            let (e, cs) = s.into_model().into_parts();
-            epoch += e;
-            for (key, sketch) in cs {
-                match cohorts.entry(key) {
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        o.get_mut().merge(&sketch).map_err(invalid)?;
-                    }
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(sketch);
-                    }
-                }
-            }
-        }
-        Ok((epoch, cohorts))
-    }
-
-    fn load_part(&mut self, state: &Self::State, shard: usize, n: usize) -> io::Result<()> {
-        let (epoch, cohorts) = state;
-        let mine: BTreeMap<CohortKey, QuantileSketch> = cohorts
-            .iter()
+    fn load_part(
+        store: &mut ModelStore,
+        merged: &Self::Merged,
+        shard: usize,
+        n: usize,
+    ) -> io::Result<()> {
+        let mine: BTreeMap<CohortKey, QuantileSketch> = merged
+            .cohorts()
             .filter(|(k, _)| shard_of(&cohort_key_token(k), n) == shard)
             .map(|(k, s)| (k.clone(), s.clone()))
             .collect();
         // The epoch sum rides on shard 0; splitting it has no meaning,
         // and only the sum is client-visible.
-        let e = if shard == 0 { *epoch } else { 0 };
-        self.install_model(ComfortModel::from_parts(e, mine))
-    }
-
-    fn checkpoint(&mut self) -> io::Result<()> {
-        self.compact().map(|_| ())
+        let e = if shard == 0 { merged.epoch() } else { 0 };
+        store.install_model(ComfortModel::from_parts(e, mine))
     }
 }
 
@@ -539,31 +522,41 @@ impl StoreSet {
         Self::open(dir, cfg, shards)
     }
 
-    /// Flips deferred rotation sync on every shard of every family —
-    /// used once group commit owns durability, so segment rotation
-    /// stops fsyncing on the append path (the committer's next pass
-    /// drains the deferred syncs before anything is acknowledged).
-    pub fn set_deferred_rotation_sync(&self, defer: bool) {
-        for i in 0..self.testcases.count() {
-            self.testcases
-                .write_recovered(i)
-                .set_deferred_rotation_sync(defer);
+    /// The shard count of one ticketed family.
+    pub(crate) fn shards(&self, flavor: StoreFlavor) -> usize {
+        match flavor {
+            StoreFlavor::Testcases => self.testcases.count(),
+            StoreFlavor::Results => self.results.count(),
+            StoreFlavor::Registry => self.registry.count(),
         }
-        for i in 0..self.results.count() {
-            self.results
-                .write_recovered(i)
-                .set_deferred_rotation_sync(defer);
+    }
+
+    /// Runs `f` on one ticketed family's shard journal, under that
+    /// shard's write lock — the group committer's only way in.
+    pub(crate) fn journal<R>(
+        &self,
+        flavor: StoreFlavor,
+        shard: usize,
+        f: impl FnOnce(&mut Journal) -> R,
+    ) -> R {
+        match flavor {
+            StoreFlavor::Testcases => f(&mut self.testcases.write_recovered(shard).journal),
+            StoreFlavor::Results => f(&mut self.results.write_recovered(shard).journal),
+            StoreFlavor::Registry => f(&mut self.registry.write_recovered(shard).journal),
         }
-        for i in 0..self.registry.count() {
-            self.registry
-                .write_recovered(i)
-                .set_deferred_rotation_sync(defer);
+    }
+
+    /// Checkpoints every shard of every family (see
+    /// [`Journaled::compact`]); `false` when no store is durable.
+    pub fn compact(&self) -> io::Result<bool> {
+        fn all<S: StoreState>(family: &Sharded<Journaled<S>>) -> io::Result<bool> {
+            let mut any = false;
+            for i in 0..family.count() {
+                any |= family.write_recovered(i).compact()?;
+            }
+            Ok(any)
         }
-        for i in 0..self.models.count() {
-            self.models
-                .write_recovered(i)
-                .set_deferred_rotation_sync(defer);
-        }
+        Ok(all(&self.testcases)? | all(&self.results)? | all(&self.registry)? | all(&self.models)?)
     }
 }
 

@@ -1,39 +1,54 @@
-//! Text-file-backed stores, as in the paper ("store testcases and
-//! results on permanent storage in text files") — optionally journaled
+//! The server's stores, as in the paper ("store testcases and results
+//! on permanent storage in text files"), each optionally journaled
 //! through a write-ahead log (`uucs-wal`) so a server crash between
 //! periodic checkpoints loses nothing that was acknowledged.
 //!
+//! Every store family is one [`Journaled`] core around a family state
+//! ([`StoreState`]). The core owns the optional WAL and holds the only
+//! copy of the WAL plumbing: open and replay ([`Journaled::open_wal`]),
+//! journal-then-apply, the group-commit watermark
+//! ([`Journaled::wal_next_lsn`]), sync ([`Journaled::sync_wal`]) and
+//! checkpoint ([`Journaled::compact`]). A family state supplies only
+//! what differs: how to decode its snapshot, how to apply one
+//! [`WalEntry`] (rejecting another family's as a foreign entry), and
+//! the snapshot text it emits. The families are [`TestcaseStore`],
+//! [`ResultStore`], [`RegistryStore`] and [`crate::models::ModelStore`].
+//!
 //! Each store runs in one of two modes:
 //!
-//! * **Plain** ([`TestcaseStore::new`], [`ResultStore::new`], and the
-//!   `load`/`save` text files): the paper's original design. Durability
-//!   is whatever the last whole-file checkpoint captured.
-//! * **Durable** ([`TestcaseStore::open_wal`],
-//!   [`ResultStore::open_wal`]): every mutation is journaled as a
-//!   [`WalEntry`] *before* it is applied in memory, and reopening the
-//!   same directory replays the journal — snapshot first, then the
-//!   records past it.
+//! * **Plain** (`new`, and the `load`/`save` text files): the paper's
+//!   original design. Durability is whatever the last whole-file
+//!   checkpoint captured.
+//! * **Durable** (`open_wal`): every mutation is journaled as a
+//!   [`WalEntry`] *before* it is applied in memory, through the same
+//!   [`StoreState::apply`] that replays it, and reopening the same
+//!   directory replays the journal — snapshot first, then the records
+//!   past it.
+//!
+//! Which journals defer their segment-rotation fsync, and who drains
+//! it, is the group committer's decision ([`crate::commit`]).
 //!
 //! Corruption policy: a WAL tolerates a torn final frame (crash
 //! residue) but reports mid-log damage; the *text* loaders tolerate
 //! nothing and point at the damaged line (`line 41: bad outcome ...`),
 //! because a checkpoint file has no append-in-flight excuse.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io;
 use std::path::Path;
 use uucs_protocol::{MachineSnapshot, RunRecord, WalEntry};
 use uucs_telemetry::{metrics, Counter, Histogram};
 use uucs_testcase::{format as tcformat, Testcase};
-use uucs_wal::{Recovery, StdIo, Wal, WalConfig, WalObserver};
+use uucs_wal::{Lsn, Recovery, StdIo, Wal, WalConfig, WalObserver};
 
 /// The telemetry bridge for one store's WAL: every observer hook lands
 /// in the global registry under `server.wal.<flavor>.*`, so `STATS`
 /// exposes append/fsync/snapshot/compaction timings per store. Handles
 /// are registered once at `open_wal`, keeping the per-I/O cost at a few
 /// atomic ops.
-pub(crate) struct WalTelemetry {
+struct WalTelemetry {
     append_ns: Histogram,
     append_bytes: Counter,
     fsync_ns: Histogram,
@@ -45,7 +60,7 @@ pub(crate) struct WalTelemetry {
 }
 
 impl WalTelemetry {
-    pub(crate) fn install(wal: &mut Wal<StdIo>, flavor: &str) {
+    fn install(wal: &mut Wal<StdIo>, flavor: &str) {
         wal.set_observer(Box::new(WalTelemetry {
             append_ns: metrics::histogram(&format!("server.wal.{flavor}.append.ns")),
             append_bytes: metrics::counter(&format!("server.wal.{flavor}.append.bytes")),
@@ -111,23 +126,203 @@ impl From<io::Error> for StoreError {
     }
 }
 
+impl From<StoreError> for io::Error {
+    fn from(e: StoreError) -> Self {
+        match e {
+            StoreError::Io(e) => e,
+            duplicate => invalid(duplicate),
+        }
+    }
+}
+
 pub(crate) fn invalid(msg: impl fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// The server's testcase library.
+/// What one store family adds to the [`Journaled`] core: its in-memory
+/// state and the three things that differ between families.
+pub trait StoreState: Default {
+    /// The `<flavor>` of the family's `server.wal.<flavor>.*` telemetry.
+    const FLAVOR: &'static str;
+    /// The family's journal as errors name it ("a testcase journal").
+    const JOURNAL: &'static str;
+    /// Rebuilds the state from a compaction snapshot's text.
+    fn decode(text: &str) -> io::Result<Self>;
+    /// The compaction snapshot text.
+    fn encode(&self) -> String;
+    /// Applies one journaled entry, moving it into the state — the same
+    /// call on replay and right after a live append. Another family's
+    /// entry is an `InvalidData` "foreign entry" error.
+    fn apply(&mut self, entry: WalEntry) -> io::Result<()>;
+    /// Runs once the journal has replayed into the state.
+    fn recovered(&self) {}
+}
+
+/// The error [`StoreState::apply`] returns for another family's entry.
+pub(crate) fn foreign<S: StoreState>() -> io::Error {
+    invalid(format!("foreign entry in a {} journal", S::JOURNAL))
+}
+
+/// A store's optional write-ahead log (`None` in plain mode).
 #[derive(Debug, Default)]
-pub struct TestcaseStore {
-    testcases: Vec<Testcase>,
+pub(crate) struct Journal {
     wal: Option<Wal<StdIo>>,
 }
 
-impl TestcaseStore {
+impl Journal {
+    fn append(&mut self, entry: &WalEntry) -> io::Result<()> {
+        if let Some(wal) = &mut self.wal {
+            wal.append(&entry.encode())?;
+        }
+        Ok(())
+    }
+
+    /// Forces everything journaled so far to stable storage, returning
+    /// the covered watermark (the next LSN). `Ok(0)` in plain mode.
+    pub(crate) fn sync(&mut self) -> io::Result<Lsn> {
+        match &mut self.wal {
+            Some(wal) => {
+                wal.sync()?;
+                Ok(wal.next_lsn())
+            }
+            None => Ok(0),
+        }
+    }
+
+    /// Moves the closing segment's fsync out of rotation and into the
+    /// next [`Journal::sync`]. No-op in plain mode.
+    pub(crate) fn defer_rotation_sync(&mut self) {
+        if let Some(wal) = &mut self.wal {
+            wal.set_deferred_rotation_sync(true);
+        }
+    }
+}
+
+/// One store family: its in-memory state plus the optional WAL that
+/// journals every mutation before it is applied.
+#[derive(Debug, Default)]
+pub struct Journaled<S> {
+    pub(crate) state: S,
+    pub(crate) journal: Journal,
+}
+
+impl<S: StoreState> Journaled<S> {
     /// An empty, non-durable store.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Opens (creating if necessary) a WAL-backed store: replays the
+    /// journal under `dir` and journals every later mutation before
+    /// applying it. Each record is decoded once and moved into the
+    /// state.
+    pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
+        let (mut wal, mut recovery) = Wal::open(StdIo::new(), dir, config)?;
+        WalTelemetry::install(&mut wal, S::FLAVOR);
+        let mut state = match recovery.snapshot.take() {
+            Some(snap) => S::decode(std::str::from_utf8(&snap.state).map_err(invalid)?)?,
+            None => S::default(),
+        };
+        for item in wal.replay() {
+            let (lsn, payload) = item?;
+            let entry = WalEntry::decode(&payload).map_err(invalid)?;
+            state
+                .apply(entry)
+                .map_err(|e| invalid(format!("record {lsn}: {e}")))?;
+        }
+        state.recovered();
+        let journal = Journal { wal: Some(wal) };
+        Ok((Journaled { state, journal }, recovery))
+    }
+
+    /// True when mutations are journaled through a WAL.
+    pub fn is_durable(&self) -> bool {
+        self.journal.wal.is_some()
+    }
+
+    /// The LSN the next journal append would get, or `None` in plain
+    /// mode. Captured under the store's write lock right after an
+    /// append, it is the durability watermark a group-commit waiter
+    /// needs: once a sync covers it, the append is on stable storage.
+    pub fn wal_next_lsn(&self) -> Option<u64> {
+        self.journal.wal.as_ref().map(|w| w.next_lsn())
+    }
+
+    /// Forces everything journaled so far to stable storage, returning
+    /// the covered watermark (the next LSN). `Ok(0)` in plain mode.
+    pub fn sync_wal(&mut self) -> io::Result<u64> {
+        self.journal.sync()
+    }
+
+    /// Folds the journal into a checkpoint of the current state and
+    /// deletes the segments it covers. Returns `false` (doing nothing)
+    /// in plain mode.
+    pub fn compact(&mut self) -> io::Result<bool> {
+        let Some(wal) = &mut self.journal.wal else {
+            return Ok(false);
+        };
+        wal.snapshot(self.state.encode().as_bytes())?;
+        wal.compact()?;
+        Ok(true)
+    }
+
+    /// Journals `entry`, then applies it. On a journal error nothing is
+    /// applied, so the caller must not acknowledge the mutation; in
+    /// durable mode an `Ok` survives a crash once the journal is synced.
+    pub(crate) fn commit(&mut self, entry: WalEntry) -> io::Result<()> {
+        self.journal.append(&entry)?;
+        self.state.apply(entry)
+    }
+}
+
+/// The testcase library: testcases in insertion order, indexed by id.
+#[derive(Debug, Default)]
+pub struct Testcases {
+    testcases: Vec<Testcase>,
+    index: HashMap<String, usize>,
+}
+
+impl Testcases {
+    fn insert(&mut self, tc: Testcase) -> io::Result<()> {
+        match self.index.entry(tc.id.as_str().to_string()) {
+            Entry::Occupied(e) => Err(invalid(StoreError::Duplicate(e.key().clone()))),
+            Entry::Vacant(e) => {
+                e.insert(self.testcases.len());
+                self.testcases.push(tc);
+                Ok(())
+            }
+        }
+    }
+}
+
+impl StoreState for Testcases {
+    const FLAVOR: &'static str = "testcases";
+    const JOURNAL: &'static str = "testcase";
+
+    fn decode(text: &str) -> io::Result<Self> {
+        let mut state = Testcases::default();
+        for tc in tcformat::parse_many(text).map_err(invalid)? {
+            state.insert(tc)?;
+        }
+        Ok(state)
+    }
+
+    fn encode(&self) -> String {
+        tcformat::emit_many(&self.testcases)
+    }
+
+    fn apply(&mut self, entry: WalEntry) -> io::Result<()> {
+        match entry {
+            WalEntry::Testcase(tc) => self.insert(tc),
+            _ => Err(foreign::<Self>()),
+        }
+    }
+}
+
+/// The server's testcase library.
+pub type TestcaseStore = Journaled<Testcases>;
+
+impl TestcaseStore {
     /// Builds a non-durable store from testcases, rejecting duplicate
     /// ids.
     pub fn from_testcases(testcases: Vec<Testcase>) -> Result<Self, StoreError> {
@@ -138,52 +333,6 @@ impl TestcaseStore {
         Ok(s)
     }
 
-    /// Opens (creating if necessary) a WAL-backed store: replays the
-    /// journal under `dir` and journals every subsequent [`add`]
-    /// before applying it.
-    ///
-    /// [`add`]: TestcaseStore::add
-    pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(StdIo::new(), dir, config)?;
-        WalTelemetry::install(&mut wal, "testcases");
-        let mut store = Self::new();
-        if let Some(snap) = recovery.snapshot.take() {
-            let text = std::str::from_utf8(&snap.state).map_err(invalid)?;
-            for tc in tcformat::parse_many(text).map_err(invalid)? {
-                store.add(tc).map_err(invalid)?;
-            }
-        }
-        for item in wal.replay() {
-            let (lsn, payload) = item?;
-            match WalEntry::decode(&payload).map_err(invalid)? {
-                WalEntry::Testcase(tc) => store.add(tc).map_err(invalid)?,
-                _ => {
-                    return Err(invalid(format!(
-                        "record {lsn}: foreign entry in a testcase journal"
-                    )))
-                }
-            }
-        }
-        store.wal = Some(wal);
-        Ok((store, recovery))
-    }
-
-    /// True when mutations are journaled through a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Defers segment-rotation fsyncs to the next explicit sync pass
-    /// (the group committer's), keeping rotation off the append path.
-    /// Only safe when something calls [`sync_wal`](Self::sync_wal)
-    /// regularly — acks must still wait on that sync. No-op in plain
-    /// mode.
-    pub fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        if let Some(wal) = &mut self.wal {
-            wal.set_deferred_rotation_sync(defer);
-        }
-    }
-
     /// Adds a testcase ("new testcases can be added to the server at any
     /// time"). Rejects a duplicate id; in durable mode the addition is
     /// journaled before it is applied, so an `Ok` survives a crash.
@@ -191,72 +340,37 @@ impl TestcaseStore {
         if self.get(tc.id.as_str()).is_some() {
             return Err(StoreError::Duplicate(tc.id.as_str().to_string()));
         }
-        if let Some(wal) = &mut self.wal {
-            wal.append(&WalEntry::Testcase(tc.clone()).encode())?;
-        }
-        self.testcases.push(tc);
-        Ok(())
-    }
-
-    /// Folds the journal into a checkpoint and deletes the segments it
-    /// covers. Returns `false` (doing nothing) in plain mode.
-    pub fn compact(&mut self) -> io::Result<bool> {
-        let Some(wal) = &mut self.wal else {
-            return Ok(false);
-        };
-        wal.snapshot(tcformat::emit_many(&self.testcases).as_bytes())?;
-        wal.compact()?;
-        Ok(true)
+        Ok(self.commit(WalEntry::Testcase(tc))?)
     }
 
     /// All testcases in insertion order.
     pub fn all(&self) -> &[Testcase] {
-        &self.testcases
+        &self.state.testcases
     }
 
     /// Number of testcases.
     pub fn len(&self) -> usize {
-        self.testcases.len()
+        self.state.testcases.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.testcases.is_empty()
+        self.state.testcases.is_empty()
     }
 
     /// Finds by id.
     pub fn get(&self, id: &str) -> Option<&Testcase> {
-        self.testcases.iter().find(|t| t.id.as_str() == id)
-    }
-
-    /// The LSN the next journal append would get, or `None` in plain
-    /// mode. Captured under the store's write lock right after an
-    /// append, it is the durability watermark a group-commit waiter
-    /// needs: once a sync covers it, the append is on stable storage.
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.next_lsn())
-    }
-
-    /// Forces everything journaled so far to stable storage, returning
-    /// the covered watermark (the next LSN). `Ok(0)` in plain mode.
-    pub fn sync_wal(&mut self) -> io::Result<u64> {
-        match &mut self.wal {
-            Some(wal) => {
-                wal.sync()?;
-                Ok(wal.next_lsn())
-            }
-            None => Ok(0),
-        }
+        self.state.index.get(id).map(|&i| &self.state.testcases[i])
     }
 
     /// Consumes the store, yielding its testcases (shard migration).
     pub fn into_testcases(self) -> Vec<Testcase> {
-        self.testcases
+        self.state.testcases
     }
 
     /// Saves the library to a text file.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, tcformat::emit_many(&self.testcases))
+        std::fs::write(path, self.state.encode())
     }
 
     /// Loads a library from a text file. Any defect is an
@@ -289,86 +403,21 @@ impl BatchStatus {
     }
 }
 
-/// The server's result store.
-///
-/// Beyond the records themselves it tracks, per client, the highest
-/// *batch sequence number* applied ([`ResultStore::append_batch`]), which
-/// is what makes `UPLOAD` idempotent: a batch retransmitted because its
-/// `ACK` was lost is recognized and re-acknowledged without storing a
-/// second copy. In durable mode the sequence horizon rides in the same
-/// WAL entry as the records (one atomic [`WalEntry::Batch`]) and in the
-/// compaction snapshot, so dedup survives crashes and checkpoints alike.
+/// The result store's state: records in upload order, plus the
+/// per-client highest applied batch sequence number.
 #[derive(Debug, Default)]
-pub struct ResultStore {
+pub struct Results {
     records: Vec<RunRecord>,
-    /// Per-client highest applied batch sequence number.
     applied: BTreeMap<String, u64>,
-    wal: Option<Wal<StdIo>>,
 }
 
-impl ResultStore {
-    /// An empty, non-durable store.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl StoreState for Results {
+    const FLAVOR: &'static str = "results";
+    const JOURNAL: &'static str = "result";
 
-    /// Opens (creating if necessary) a WAL-backed store: replays the
-    /// journal under `dir` and journals every subsequent upload before
-    /// applying it.
-    pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(StdIo::new(), dir, config)?;
-        WalTelemetry::install(&mut wal, "results");
-        let mut records = Vec::new();
-        let mut applied = BTreeMap::new();
-        if let Some(snap) = recovery.snapshot.take() {
-            let text = std::str::from_utf8(&snap.state).map_err(invalid)?;
-            (records, applied) = Self::parse_state(text)?;
-        }
-        for item in wal.replay() {
-            let (lsn, payload) = item?;
-            match WalEntry::decode(&payload).map_err(invalid)? {
-                WalEntry::Result(rec) => records.push(rec),
-                WalEntry::Batch {
-                    client,
-                    seq,
-                    records: batch,
-                } => {
-                    records.extend(batch);
-                    let horizon = applied.entry(client).or_insert(0);
-                    *horizon = (*horizon).max(seq);
-                }
-                WalEntry::Testcase(_) | WalEntry::Client { .. } | WalEntry::Model(_) => {
-                    return Err(invalid(format!(
-                        "record {lsn}: foreign entry in a result journal"
-                    )))
-                }
-            }
-        }
-        Ok((
-            ResultStore {
-                records,
-                applied,
-                wal: Some(wal),
-            },
-            recovery,
-        ))
-    }
-
-    /// The compaction-snapshot text: `SEQ <client> <n>` header lines (the
-    /// idempotency horizon) followed by the record blocks.
-    fn emit_state(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (client, seq) in &self.applied {
-            writeln!(out, "SEQ {client} {seq}").unwrap();
-        }
-        out.push_str(&RunRecord::emit_many(&self.records));
-        out
-    }
-
-    /// Parses [`ResultStore::emit_state`] output. Snapshots from before
+    /// Parses [`Results::encode`] output. Snapshots from before
     /// sequence tracking have no `SEQ` lines and parse to an empty map.
-    fn parse_state(text: &str) -> io::Result<(Vec<RunRecord>, BTreeMap<String, u64>)> {
+    fn decode(text: &str) -> io::Result<Self> {
         let mut applied = BTreeMap::new();
         let mut offset = 0usize;
         for line in text.lines() {
@@ -385,38 +434,60 @@ impl ResultStore {
             offset += line.len() + 1;
         }
         let records = RunRecord::parse_many(&text[offset.min(text.len())..]).map_err(invalid)?;
-        Ok((records, applied))
+        Ok(Results { records, applied })
     }
 
-    /// True when mutations are journaled through a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Defers segment-rotation fsyncs to the next explicit sync pass
-    /// (the group committer's), keeping rotation off the append path.
-    /// Only safe when something calls [`sync_wal`](Self::sync_wal)
-    /// regularly — acks must still wait on that sync. No-op in plain
-    /// mode.
-    pub fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        if let Some(wal) = &mut self.wal {
-            wal.set_deferred_rotation_sync(defer);
+    /// `SEQ <client> <n>` header lines (the idempotency horizon)
+    /// followed by the record blocks.
+    fn encode(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (client, seq) in &self.applied {
+            writeln!(out, "SEQ {client} {seq}").expect("writing to a String cannot fail");
         }
+        out.push_str(&RunRecord::emit_many(&self.records));
+        out
     }
 
-    /// Appends uploaded records, returning how many were accepted. In
-    /// durable mode every record is journaled first — under
-    /// `SyncPolicy::Always` an `Ok(n)` means all `n` survive a crash.
-    /// On a journal error nothing is applied in memory and the upload
-    /// must not be acknowledged.
-    pub fn append(&mut self, records: Vec<RunRecord>) -> Result<usize, StoreError> {
-        if let Some(wal) = &mut self.wal {
-            for rec in &records {
-                wal.append(&WalEntry::Result(rec.clone()).encode())?;
+    fn apply(&mut self, entry: WalEntry) -> io::Result<()> {
+        match entry {
+            WalEntry::Result(rec) => self.records.push(rec),
+            WalEntry::Batch {
+                client,
+                seq,
+                records,
+            } => {
+                self.records.extend(records);
+                let horizon = self.applied.entry(client).or_insert(0);
+                *horizon = (*horizon).max(seq);
             }
+            _ => return Err(foreign::<Self>()),
         }
+        Ok(())
+    }
+}
+
+/// The server's result store.
+///
+/// Beyond the records themselves it tracks, per client, the highest
+/// *batch sequence number* applied ([`ResultStore::append_batch`]), which
+/// is what makes `UPLOAD` idempotent: a batch retransmitted because its
+/// `ACK` was lost is recognized and re-acknowledged without storing a
+/// second copy. In durable mode the sequence horizon rides in the same
+/// WAL entry as the records (one atomic [`WalEntry::Batch`]) and in the
+/// compaction snapshot, so dedup survives crashes and checkpoints alike.
+pub type ResultStore = Journaled<Results>;
+
+impl ResultStore {
+    /// Appends uploaded records, returning how many were accepted. In
+    /// durable mode each record is journaled before it is applied —
+    /// under `SyncPolicy::Always` an `Ok(n)` means all `n` survive a
+    /// crash. On a journal error the upload must not be acknowledged.
+    pub fn append(&mut self, records: Vec<RunRecord>) -> Result<usize, StoreError> {
         let n = records.len();
-        self.records.extend(records);
+        for rec in records {
+            self.commit(WalEntry::Result(rec))?;
+        }
         Ok(n)
     }
 
@@ -439,88 +510,52 @@ impl ResultStore {
         if seq == 0 {
             return self.append(records).map(BatchStatus::Applied);
         }
-        if self.applied.get(client).copied().unwrap_or(0) >= seq {
-            return Ok(BatchStatus::Replayed(records.len()));
-        }
-        if let Some(wal) = &mut self.wal {
-            wal.append(
-                &WalEntry::Batch {
-                    client: client.to_string(),
-                    seq,
-                    records: records.clone(),
-                }
-                .encode(),
-            )?;
-        }
-        self.applied.insert(client.to_string(), seq);
         let n = records.len();
-        self.records.extend(records);
+        if self.applied_seq(client) >= seq {
+            return Ok(BatchStatus::Replayed(n));
+        }
+        self.commit(WalEntry::Batch {
+            client: client.to_string(),
+            seq,
+            records,
+        })?;
         Ok(BatchStatus::Applied(n))
     }
 
     /// The highest batch sequence number applied for `client` (0 if the
     /// client never uploaded with sequence numbers).
     pub fn applied_seq(&self, client: &str) -> u64 {
-        self.applied.get(client).copied().unwrap_or(0)
+        self.state.applied.get(client).copied().unwrap_or(0)
     }
 
     /// The per-client applied-sequence horizons (shard migration).
     pub fn applied_horizons(&self) -> &BTreeMap<String, u64> {
-        &self.applied
-    }
-
-    /// See [`TestcaseStore::wal_next_lsn`].
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.next_lsn())
-    }
-
-    /// See [`TestcaseStore::sync_wal`].
-    pub fn sync_wal(&mut self) -> io::Result<u64> {
-        match &mut self.wal {
-            Some(wal) => {
-                wal.sync()?;
-                Ok(wal.next_lsn())
-            }
-            None => Ok(0),
-        }
+        &self.state.applied
     }
 
     /// Consumes the store, yielding records and horizons (migration).
     pub fn into_parts(self) -> (Vec<RunRecord>, BTreeMap<String, u64>) {
-        (self.records, self.applied)
-    }
-
-    /// Folds the journal into a checkpoint and deletes the segments it
-    /// covers. Returns `false` (doing nothing) in plain mode.
-    pub fn compact(&mut self) -> io::Result<bool> {
-        if self.wal.is_none() {
-            return Ok(false);
-        }
-        let state = self.emit_state();
-        let wal = self.wal.as_mut().expect("checked above");
-        wal.snapshot(state.as_bytes())?;
-        wal.compact()?;
-        Ok(true)
+        (self.state.records, self.state.applied)
     }
 
     /// All records in upload order.
     pub fn all(&self) -> &[RunRecord] {
-        &self.records
+        &self.state.records
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.state.records.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.state.records.is_empty()
     }
 
     /// Saves all results to a text file.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, RunRecord::emit_many(&self.records))
+        std::fs::write(path, RunRecord::emit_many(&self.state.records))
     }
 
     /// Loads results from a text file.
@@ -528,18 +563,15 @@ impl ResultStore {
     /// Any defect — a bad key, a truncated record, a garbled number —
     /// is an `InvalidData` error naming the file and the 1-based line,
     /// e.g. `results.txt: line 41: bad outcome "maybee"`. Contrast the
-    /// WAL loaders above, which tolerate (and truncate) a torn final
-    /// frame: a crash can interrupt a journal append, but nothing
-    /// legitimately interrupts a whole-file text checkpoint.
+    /// WAL replay, which tolerates (and truncates) a torn final frame:
+    /// a crash can interrupt a journal append, but nothing legitimately
+    /// interrupts a whole-file text checkpoint.
     pub fn load(path: &Path) -> std::io::Result<Self> {
         let text = std::fs::read_to_string(path)?;
-        let records = RunRecord::parse_many(&text)
+        let mut store = Self::new();
+        store.state.records = RunRecord::parse_many(&text)
             .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-        Ok(ResultStore {
-            records,
-            applied: BTreeMap::new(),
-            wal: None,
-        })
+        Ok(store)
     }
 }
 
@@ -547,84 +579,29 @@ impl ResultStore {
 /// the `(token, id)` idempotency pairs.
 type RegistryState = (Vec<(String, MachineSnapshot)>, Vec<(String, String)>);
 
-/// The server's client registry: `(GUID, machine snapshot)` pairs in
-/// registration order, optionally journaled through a WAL so a restarted
-/// server still recognizes the clients it handed ids to — without it,
-/// every server restart would orphan every client in the field.
+/// The client registry's state: `(GUID, machine snapshot)` rows in
+/// registration order, plus `(token, id)` for every registration that
+/// carried an idempotency token — a re-registration presenting a known
+/// token gets the same id back instead of a new row.
 #[derive(Debug, Default)]
-pub struct RegistryStore {
+pub struct Registry {
     clients: Vec<(String, MachineSnapshot)>,
-    /// `(token, id)` for every registration that carried an idempotency
-    /// token: a re-registration presenting a known token gets the same
-    /// id back instead of a new row. Rebuilt from the journal and the
-    /// snapshot on recovery, so the guarantee survives a server restart.
     tokens: Vec<(String, String)>,
-    wal: Option<Wal<StdIo>>,
 }
 
-impl RegistryStore {
-    /// An empty, non-durable registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl StoreState for Registry {
+    const FLAVOR: &'static str = "registry";
+    const JOURNAL: &'static str = "registry";
 
-    /// Opens (creating if necessary) a WAL-backed registry: replays the
-    /// journal under `dir` and journals every subsequent registration
-    /// before applying it.
-    pub fn open_wal(dir: &Path, config: WalConfig) -> io::Result<(Self, Recovery)> {
-        let (mut wal, mut recovery) = Wal::open(StdIo::new(), dir, config)?;
-        WalTelemetry::install(&mut wal, "registry");
-        let mut store = Self::new();
-        if let Some(snap) = recovery.snapshot.take() {
-            let text = std::str::from_utf8(&snap.state).map_err(invalid)?;
-            (store.clients, store.tokens) = Self::parse_state(text)?;
-        }
-        for item in wal.replay() {
-            let (lsn, payload) = item?;
-            match WalEntry::decode(&payload).map_err(invalid)? {
-                WalEntry::Client {
-                    id,
-                    token,
-                    snapshot,
-                } => {
-                    if !token.is_empty() {
-                        store.tokens.push((token, id.clone()));
-                    }
-                    store.clients.push((id, snapshot));
-                }
-                _ => {
-                    return Err(invalid(format!(
-                        "record {lsn}: foreign entry in a registry journal"
-                    )))
-                }
-            }
-        }
-        store.wal = Some(wal);
-        Ok((store, recovery))
-    }
-
-    fn emit_state(&self) -> String {
-        let mut out = String::new();
-        for (id, snap) in &self.clients {
-            match self.tokens.iter().find(|(_, tid)| tid == id) {
-                Some((token, _)) => out.push_str(&format!("CLIENT {id} {token}\n")),
-                None => out.push_str(&format!("CLIENT {id}\n")),
-            }
-            out.push_str(&snap.emit());
-        }
-        out
-    }
-
-    fn parse_state(text: &str) -> io::Result<RegistryState> {
-        let mut clients = Vec::new();
-        let mut tokens = Vec::new();
+    fn decode(text: &str) -> io::Result<Self> {
+        let mut state = Registry::default();
         // (id, pending block text) for the entry being accumulated.
         let mut current: Option<(String, String)> = None;
         for line in text.lines() {
             if let Some(rest) = line.strip_prefix("CLIENT ") {
                 if let Some((id, block)) = current.take() {
                     let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
-                    clients.push((id, snap));
+                    state.clients.push((id, snap));
                 }
                 let mut toks = rest.split_whitespace();
                 let id = toks.next().unwrap_or("").to_string();
@@ -632,7 +609,7 @@ impl RegistryStore {
                     return Err(invalid("registry snapshot: CLIENT line missing id"));
                 }
                 if let Some(token) = toks.next() {
-                    tokens.push((token.to_string(), id.clone()));
+                    state.tokens.push((token.to_string(), id.clone()));
                 }
                 current = Some((id, String::new()));
             } else if let Some((_, block)) = &mut current {
@@ -644,27 +621,48 @@ impl RegistryStore {
         }
         if let Some((id, block)) = current.take() {
             let snap = MachineSnapshot::parse(&block).map_err(invalid)?;
-            clients.push((id, snap));
+            state.clients.push((id, snap));
         }
-        Ok((clients, tokens))
+        Ok(state)
     }
 
-    /// True when registrations are journaled through a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Defers segment-rotation fsyncs to the next explicit sync pass
-    /// (the group committer's), keeping rotation off the append path.
-    /// Only safe when something calls [`sync_wal`](Self::sync_wal)
-    /// regularly — acks must still wait on that sync. No-op in plain
-    /// mode.
-    pub fn set_deferred_rotation_sync(&mut self, defer: bool) {
-        if let Some(wal) = &mut self.wal {
-            wal.set_deferred_rotation_sync(defer);
+    fn encode(&self) -> String {
+        let mut out = String::new();
+        for (id, snap) in &self.clients {
+            match self.tokens.iter().find(|(_, tid)| tid == id) {
+                Some((token, _)) => out.push_str(&format!("CLIENT {id} {token}\n")),
+                None => out.push_str(&format!("CLIENT {id}\n")),
+            }
+            out.push_str(&snap.emit());
         }
+        out
     }
 
+    fn apply(&mut self, entry: WalEntry) -> io::Result<()> {
+        let WalEntry::Client {
+            id,
+            token,
+            snapshot,
+        } = entry
+        else {
+            return Err(foreign::<Self>());
+        };
+        if !token.is_empty() {
+            self.tokens.push((token, id.clone()));
+        }
+        self.clients.push((id, snapshot));
+        Ok(())
+    }
+}
+
+/// The server's client registry, optionally journaled through a WAL so
+/// a restarted server still recognizes the clients it handed ids to —
+/// without it, every server restart would orphan every client in the
+/// field. Registration tokens are rebuilt from the journal and the
+/// snapshot on recovery, so token dedup survives a restart too.
+pub type RegistryStore = Journaled<Registry>;
+
+impl RegistryStore {
     /// Registers a machine, assigning the next GUID. In durable mode the
     /// registration is journaled before it is applied, so an id handed
     /// out survives a server restart.
@@ -678,12 +676,10 @@ impl RegistryStore {
         snapshot: MachineSnapshot,
         token: &str,
     ) -> Result<String, StoreError> {
-        if !token.is_empty() {
-            if let Some((_, id)) = self.tokens.iter().find(|(t, _)| t == token) {
-                return Ok(id.clone());
-            }
+        if let Some(id) = self.id_for_token(token) {
+            return Ok(id.to_string());
         }
-        let id = format!("client-{:04}", self.clients.len() + 1);
+        let id = format!("client-{:04}", self.len() + 1);
         self.register_with_id(id.clone(), snapshot, token)?;
         Ok(id)
     }
@@ -699,21 +695,12 @@ impl RegistryStore {
         snapshot: MachineSnapshot,
         token: &str,
     ) -> Result<(), StoreError> {
-        if let Some(wal) = &mut self.wal {
-            wal.append(
-                &WalEntry::Client {
-                    id: id.clone(),
-                    token: token.to_string(),
-                    snapshot: snapshot.clone(),
-                }
-                .encode(),
-            )?;
-        }
-        self.clients.push((id.clone(), snapshot));
-        if !token.is_empty() {
-            self.tokens.push((token.to_string(), id));
-        }
-        Ok(())
+        let token = token.to_string();
+        Ok(self.commit(WalEntry::Client {
+            id,
+            token,
+            snapshot,
+        })?)
     }
 
     /// The id a registration token resolved to, if it registered before.
@@ -721,7 +708,8 @@ impl RegistryStore {
         if token.is_empty() {
             return None;
         }
-        self.tokens
+        self.state
+            .tokens
             .iter()
             .find(|(t, _)| t == token)
             .map(|(_, id)| id.as_str())
@@ -731,36 +719,22 @@ impl RegistryStore {
     /// replication tier ships it alongside the snapshot so a promoted
     /// follower still honors token-matched re-registrations.
     pub fn token_of(&self, id: &str) -> Option<&str> {
-        self.tokens
+        self.state
+            .tokens
             .iter()
             .find(|(_, tid)| tid == id)
             .map(|(t, _)| t.as_str())
     }
 
-    /// See [`TestcaseStore::wal_next_lsn`].
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.next_lsn())
-    }
-
-    /// See [`TestcaseStore::sync_wal`].
-    pub fn sync_wal(&mut self) -> io::Result<u64> {
-        match &mut self.wal {
-            Some(wal) => {
-                wal.sync()?;
-                Ok(wal.next_lsn())
-            }
-            None => Ok(0),
-        }
-    }
-
     /// Consumes the registry, yielding rows and token pairs (migration).
     pub fn into_parts(self) -> RegistryState {
-        (self.clients, self.tokens)
+        (self.state.clients, self.state.tokens)
     }
 
     /// The registered snapshot for an id.
     pub fn get(&self, id: &str) -> Option<&MachineSnapshot> {
-        self.clients
+        self.state
+            .clients
             .iter()
             .find(|(cid, _)| cid == id)
             .map(|(_, s)| s)
@@ -768,36 +742,24 @@ impl RegistryStore {
 
     /// All registrations in order.
     pub fn all(&self) -> &[(String, MachineSnapshot)] {
-        &self.clients
+        &self.state.clients
     }
 
     /// Number of registered clients.
     pub fn len(&self) -> usize {
-        self.clients.len()
+        self.state.clients.len()
     }
 
     /// True if no client ever registered.
     pub fn is_empty(&self) -> bool {
-        self.clients.is_empty()
-    }
-
-    /// Folds the journal into a checkpoint and deletes the segments it
-    /// covers. Returns `false` (doing nothing) in plain mode.
-    pub fn compact(&mut self) -> io::Result<bool> {
-        if self.wal.is_none() {
-            return Ok(false);
-        }
-        let state = self.emit_state();
-        let wal = self.wal.as_mut().expect("checked above");
-        wal.snapshot(state.as_bytes())?;
-        wal.compact()?;
-        Ok(true)
+        self.state.clients.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
     use uucs_harness::TempDir;
     use uucs_protocol::{MonitorSummary, RunOutcome};
     use uucs_testcase::{ExerciseSpec, Resource};
@@ -951,6 +913,128 @@ mod tests {
         let (tcs, recovery) = TestcaseStore::open_wal(dir.path(), cfg).unwrap();
         assert_eq!(recovery.records, 1, "rejected duplicate left no record");
         assert_eq!(tcs.len(), 1);
+    }
+
+    /// One row per store family: a session opens `dir` as the family,
+    /// applies the mutations numbered `ids` (checkpointing after the
+    /// second) and returns the store's size.
+    struct Family {
+        name: &'static str,
+        session: fn(&Path, Range<u64>) -> io::Result<usize>,
+    }
+
+    fn session<S: StoreState>(
+        dir: &Path,
+        ids: Range<u64>,
+        mutate: fn(&mut Journaled<S>, u64),
+        size: fn(&Journaled<S>) -> usize,
+    ) -> io::Result<usize> {
+        let cfg = WalConfig {
+            segment_bytes: 512,
+            sync: SyncPolicy::Always,
+        };
+        let (mut store, _) = Journaled::<S>::open_wal(dir, cfg)?;
+        let second = ids.start + 1;
+        for i in ids {
+            mutate(&mut store, i);
+            if i == second {
+                assert!(store.compact().unwrap());
+            }
+        }
+        Ok(size(&store))
+    }
+
+    fn families() -> [Family; 4] {
+        use crate::models::ModelState;
+        use uucs_modelsvc::Observation;
+        [
+            Family {
+                name: "testcases",
+                session: |dir, ids| {
+                    session::<Testcases>(
+                        dir,
+                        ids,
+                        |s, i| s.add(tc(&format!("t{i}"))).unwrap(),
+                        TestcaseStore::len,
+                    )
+                },
+            },
+            Family {
+                name: "results",
+                session: |dir, ids| {
+                    session::<Results>(
+                        dir,
+                        ids,
+                        |s, i| {
+                            s.append_batch("c", i + 1, vec![rec(&format!("u{i}"))])
+                                .unwrap();
+                        },
+                        ResultStore::len,
+                    )
+                },
+            },
+            Family {
+                name: "registry",
+                session: |dir, ids| {
+                    session::<Registry>(
+                        dir,
+                        ids,
+                        |s, i| {
+                            let id = format!("client-{i:04}");
+                            s.register_with_id(id, MachineSnapshot::study_machine("h"), "")
+                                .unwrap();
+                        },
+                        RegistryStore::len,
+                    )
+                },
+            },
+            Family {
+                name: "model",
+                session: |dir, ids| {
+                    session::<ModelState>(
+                        dir,
+                        ids,
+                        |s, i| {
+                            let obs = Observation {
+                                resource: uucs_testcase::Resource::Cpu,
+                                task: "IE".into(),
+                                skill: "Typical".into(),
+                                level: i as f64 / 10.0,
+                                censored: false,
+                            };
+                            s.observe_batch(vec![obs]).unwrap();
+                        },
+                        |s| s.epoch() as usize,
+                    )
+                },
+            },
+        ]
+    }
+
+    /// Every family through the one core: open, mutate, checkpoint,
+    /// reopen (snapshot plus journal tail) and mutate again — and a
+    /// journal written by another family refuses to open.
+    #[test]
+    fn every_family_round_trips_and_rejects_foreign_entries() {
+        let families = families();
+        for (i, family) in families.iter().enumerate() {
+            let dir = TempDir::new("uucs-store-family");
+            assert_eq!((family.session)(dir.path(), 0..3).unwrap(), 3, "{}", family.name);
+            assert_eq!((family.session)(dir.path(), 3..5).unwrap(), 5, "{}", family.name);
+            assert_eq!((family.session)(dir.path(), 5..5).unwrap(), 5, "{}", family.name);
+
+            let dir = TempDir::new("uucs-store-foreign");
+            let writer = &families[(i + 1) % families.len()];
+            (writer.session)(dir.path(), 0..1).unwrap();
+            let err = (family.session)(dir.path(), 0..0).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{}", family.name);
+            assert!(
+                err.to_string().contains("foreign entry"),
+                "{} opened a {} journal: {err}",
+                family.name,
+                writer.name
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   is dropped after [`ServeConfig::read_timeout`].
 //! * **Connection cap** — past [`ServeConfig::max_connections`] live
 //!   connections, new arrivals get `ERROR server at capacity` and are
-//!   closed, so an accept storm degrades politely.
+//!   closed, so an accept storm degrades politely. The close lingers:
+//!   the server shuts down its write side and a worker drains the
+//!   peer's request until it hangs up (or `LINGER` passes), so the
+//!   close never turns into a reset that overtakes the `ERROR`.
 //! * **Write backpressure** — a connection stops reading and parsing
 //!   input while its unflushed replies exceed `MAX_OUTBUF`, so a peer
 //!   that pipelines requests and never reads the replies cannot grow
@@ -38,8 +41,8 @@
 use crate::commit::{CommitTicket, GroupCommitter};
 use crate::server::UucsServer;
 use std::collections::VecDeque;
-use std::io::{Cursor, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Cursor, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -212,6 +215,9 @@ const MAX_OUTBUF: usize = MAX_INBUF;
 /// Backoff after a transient `accept(2)` error.
 const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
+/// How long a capacity-rejected socket is drained before it closes.
+const LINGER: Duration = Duration::from_millis(500);
+
 /// Worker idle sleep: the sweep granularity when no socket had bytes.
 /// Well under client retry timeouts (the chaos transports use 1s), and
 /// coarse enough that an idle fleet costs ~no CPU.
@@ -220,7 +226,23 @@ const IDLE_SLEEP: Duration = Duration::from_micros(300);
 /// Queues handing accepted sockets from the accept loop to the workers.
 struct PoolShared {
     queues: Vec<Mutex<VecDeque<TcpStream>>>,
+    /// Capacity-rejected sockets awaiting a clean close, with their
+    /// deadlines; any worker's sweep drains them.
+    lingering: Mutex<Vec<(TcpStream, Instant)>>,
     stop: Arc<AtomicBool>,
+}
+
+/// One drain step for a capacity-rejected socket: reads (and discards)
+/// what the peer sent. `false` once it can close without a reset — the
+/// peer hung up — or its deadline passed. One read per sweep, so a peer
+/// that keeps sending cannot hold a worker.
+fn lingers(stream: &mut TcpStream, deadline: Instant) -> bool {
+    let mut buf = [0u8; 4096];
+    match stream.read(&mut buf) {
+        Ok(0) => false,
+        Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => false,
+        _ => Instant::now() < deadline,
+    }
 }
 
 /// [`serve`] with explicit tuning.
@@ -240,6 +262,7 @@ pub fn serve_with(
     };
     let shared = Arc::new(PoolShared {
         queues: (0..nworkers).map(|_| Mutex::new(VecDeque::new())).collect(),
+        lingering: Mutex::new(Vec::new()),
         stop: stop.clone(),
     });
     let live_gauge = metrics::gauge("server.connections.live");
@@ -275,14 +298,26 @@ pub fn serve_with(
                 match conn {
                     Ok(stream) => {
                         if live2.load(Ordering::SeqCst) >= config.max_connections {
-                            // Over the cap: answer and close without
-                            // spending a descriptor slot on the peer.
+                            // Over the cap: answer, then close without
+                            // spending a live slot on the peer. Closing
+                            // with its request unread would send a reset
+                            // that can overtake the reply, so shut down
+                            // our side and let the workers drain it.
                             rejected.inc();
                             let mut w = stream;
                             let _ = write_server_msg(
                                 &mut w,
                                 &ServerMsg::Error("server at capacity".into()),
                             );
+                            if w.shutdown(Shutdown::Write).is_ok()
+                                && w.set_nonblocking(true).is_ok()
+                            {
+                                shared2
+                                    .lingering
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .push((w, Instant::now() + LINGER));
+                            }
                             continue;
                         }
                         live2.fetch_add(1, Ordering::SeqCst);
@@ -615,8 +650,9 @@ fn worker_loop(
 ) {
     let committer = server.group_committer();
     let mut conns: Vec<PoolConn> = Vec::new();
-    let close = |_c: PoolConn| {
-        // Dropping the stream closes the socket; the peer sees EOF.
+    // Dropping a connection's stream closes the socket (the peer sees
+    // EOF); releasing it frees its live slot.
+    let release = || {
         live.fetch_sub(1, Ordering::SeqCst);
         live_gauge.dec();
     };
@@ -629,19 +665,21 @@ fn worker_loop(
             while let Some(stream) = q.pop_front() {
                 match PoolConn::new(stream) {
                     Ok(conn) => conns.push(conn),
-                    Err(_) => {
-                        live.fetch_sub(1, Ordering::SeqCst);
-                        live_gauge.dec();
-                    }
+                    Err(_) => release(),
                 }
             }
         }
         if shared.stop.load(Ordering::SeqCst) {
-            for c in conns.drain(..) {
-                close(c);
+            for _ in conns.drain(..) {
+                release();
             }
             return;
         }
+        shared
+            .lingering
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain_mut(|(stream, deadline)| lingers(stream, *deadline));
         let mut any_progress = false;
         let mut i = 0;
         while i < conns.len() {
@@ -651,7 +689,8 @@ fn worker_loop(
                     i += 1;
                 }
                 Step::Close => {
-                    close(conns.swap_remove(i));
+                    conns.swap_remove(i);
+                    release();
                     any_progress = true;
                 }
             }

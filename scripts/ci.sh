@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "== net Rust lines (informational, not a gate) =="
+./scripts/loc.sh | tail -n 1
+
 echo "== build (release, offline, warnings are fatal) =="
 build_log=$(mktemp)
 trap 'rm -f "$build_log"' EXIT

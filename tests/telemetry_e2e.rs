@@ -424,6 +424,75 @@ fn rotation_stall_is_negligible_under_the_io_scheduler() {
     assert_eq!(recovered.applied_seq(&id), 40, "acked uploads must survive");
 }
 
+/// Model journals under the disk scheduler: no commit pass syncs them,
+/// so each model segment rotation must fsync the closing segment
+/// itself. A rotation that nothing ever syncs lets a power loss persist
+/// segment N+1 without segment N — mid-log corruption that `Wal::open`
+/// refuses, so the server would not start. Every rotation therefore
+/// pairs with at least one model-journal fsync.
+#[test]
+fn model_journal_rotations_are_synced_under_the_io_scheduler() {
+    use uucs::protocol::wire::Endpoint;
+    use uucs::protocol::{MonitorSummary, RunOutcome, RunRecord};
+    use uucs::server::{StorageProfile, StoreSet};
+
+    let _guard = serialize();
+    let dir = TempDir::new("uucs-telemetry-model-rotation");
+    let profile = StorageProfile { io_threads: 2 };
+    // Tiny segments force model rotations; Never leaves every other
+    // fsync to the group committer.
+    let cfg = WalConfig {
+        segment_bytes: 1024,
+        sync: SyncPolicy::Never,
+    };
+    let (stores, _) = StoreSet::open_with(dir.path(), cfg, 2, &profile).unwrap();
+    let server = UucsServer::with_store_set(stores, 7)
+        .with_io_scheduler(profile.scheduler().expect("io_threads > 0"))
+        .with_group_commit(Duration::from_micros(200));
+    let ServerMsg::Id { id, .. } = server.handle(&ClientMsg::register(
+        MachineSnapshot::study_machine("model-rot"),
+    )) else {
+        panic!("registration refused");
+    };
+
+    let rotations = metrics::counter("server.wal.model.rotations");
+    let fsyncs = metrics::histogram("server.wal.model.fsync.ns");
+    let (rotations_before, fsyncs_before) = (rotations.get(), fsyncs.count());
+    // Every upload carries observations, so each applied batch journals
+    // one model epoch.
+    for seq in 1..=60u64 {
+        let records = (0..5)
+            .map(|i| RunRecord {
+                client: id.clone(),
+                user: String::new(),
+                testcase: format!("model-rot-{seq}-{i}"),
+                task: "IE".into(),
+                skill: "Typical".into(),
+                outcome: RunOutcome::Discomfort,
+                offset_secs: 10.0,
+                last_levels: vec![(uucs::testcase::Resource::Cpu, vec![2.0])],
+                monitor: MonitorSummary::default(),
+            })
+            .collect();
+        let reply = server.handle(&ClientMsg::Upload {
+            client: id.clone(),
+            seq,
+            records,
+        });
+        assert!(matches!(reply, ServerMsg::Ack(_)), "{reply:?}");
+    }
+    assert_eq!(server.model_epoch(), 60, "every upload minted an epoch");
+
+    let rotated = rotations.get() - rotations_before;
+    let synced = fsyncs.count() - fsyncs_before;
+    assert!(rotated > 0, "the workload never rotated a model segment");
+    assert!(
+        synced >= rotated,
+        "{rotated} model segment rotations but only {synced} model fsyncs: \
+         a closed model segment was left unsynced"
+    );
+}
+
 /// Runs a simulated machine that emits one flight event per nap, with
 /// the telemetry clock slaved to simulated time, and returns the flight
 /// recorder's JSONL dump.
