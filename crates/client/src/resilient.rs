@@ -2,14 +2,15 @@
 //! retries with deterministic exponential backoff, and automatic
 //! reconnection.
 //!
-//! The plain [`TcpTransport`](crate::transport::TcpTransport) blocks
-//! forever on a black-holed server and dies on the first torn
-//! connection. [`ResilientTransport`] wraps the same wire protocol in a
-//! retry loop: every exchange gets a read/write deadline, a failed
-//! exchange drops the connection and reconnects after a backoff delay,
-//! and after a bounded number of attempts the error surfaces to the
-//! caller — who keeps the records spooled locally and tries again at the
-//! next sync ("the client can operate disconnected from the server").
+//! A [`TcpTransport`](crate::transport::TcpTransport) is one connection:
+//! it dies on the first torn connection, and without a deadline blocks
+//! forever on a black-holed server. [`ResilientTransport`] holds one at
+//! a time in a retry loop: every exchange gets a read/write deadline, a
+//! failed exchange drops the connection and reconnects after a backoff
+//! delay, and after a bounded number of attempts the error surfaces to
+//! the caller — who keeps the records spooled locally and tries again at
+//! the next sync ("the client can operate disconnected from the
+//! server").
 //!
 //! Retrying an exchange is safe because every message in the protocol is
 //! idempotent from the server's point of view: `SYNC` is a read,
@@ -29,11 +30,10 @@ use crate::transport::{ClientTransport, TcpTransport};
 use std::io;
 use std::sync::OnceLock;
 use std::time::Duration;
-use uucs_protocol::{ClientMsg, ServerMsg, WIRE_VERSION_BINARY, WIRE_VERSION_TEXT};
+use uucs_protocol::{ClientMsg, ServerMsg};
 use uucs_stats::Pcg64;
 use uucs_telemetry::{metrics, Counter, Gauge};
-use uucs_wire::conn::{negotiate, Negotiated};
-use uucs_wire::{BinaryConn, WireMode};
+use uucs_wire::WireMode;
 
 /// Pre-registered transport telemetry (`client.transport.*`): one
 /// registry lookup per process, a few atomic ops per exchange.
@@ -62,25 +62,6 @@ fn transport_metrics() -> &'static TransportMetrics {
         failovers: metrics::counter("client.failover.count"),
         negotiated: metrics::gauge("client.wire.negotiated"),
     })
-}
-
-/// One live connection, in whichever framing negotiation settled on.
-enum WireConn {
-    /// Wire v1: the text line protocol, byte-identical to a legacy
-    /// client (and the only framing a [`WireMode::Text`] transport
-    /// ever speaks — no `HELLO` is sent at all).
-    Text(TcpTransport),
-    /// Wire v2: negotiated binary framing.
-    Binary(BinaryConn),
-}
-
-impl WireConn {
-    fn exchange(&mut self, msg: &ClientMsg) -> io::Result<ServerMsg> {
-        match self {
-            WireConn::Text(t) => t.exchange(msg),
-            WireConn::Binary(b) => b.exchange(msg),
-        }
-    }
 }
 
 /// What a failed exchange attempt means for the retry loop.
@@ -171,7 +152,7 @@ pub struct ResilientTransport {
     timeout: Duration,
     policy: RetryPolicy,
     wire: WireMode,
-    conn: Option<WireConn>,
+    conn: Option<TcpTransport>,
     sleeper: Box<dyn FnMut(Duration) + Send>,
 }
 
@@ -237,10 +218,7 @@ impl ResilientTransport {
 
     /// The framing the current connection speaks, if connected.
     pub fn negotiated_wire(&self) -> Option<u32> {
-        self.conn.as_ref().map(|c| match c {
-            WireConn::Text(_) => WIRE_VERSION_TEXT,
-            WireConn::Binary(_) => WIRE_VERSION_BINARY,
-        })
+        self.conn.as_ref().map(TcpTransport::version)
     }
 
     /// Replaces the sleep function used between attempts (tests inject a
@@ -257,56 +235,21 @@ impl ResilientTransport {
 
     /// Ends the session politely if a connection is up.
     pub fn bye(&mut self) {
-        match self.conn.take() {
-            Some(WireConn::Text(mut t)) => {
-                let _ = t.bye();
-            }
-            Some(WireConn::Binary(b)) => b.bye(),
-            None => {}
+        if let Some(mut t) = self.conn.take() {
+            let _ = t.bye();
         }
         transport_metrics().negotiated.set(0);
     }
 
-    fn ensure_connected(&mut self) -> io::Result<&mut WireConn> {
+    fn ensure_connected(&mut self) -> io::Result<&mut TcpTransport> {
         if self.conn.is_none() {
-            let text = TcpTransport::connect_with_deadline(&self.addrs[self.current], self.timeout)?;
-            let conn = match self.wire {
-                // Text mode sends no HELLO: the byte stream is exactly
-                // what a pre-negotiation client produced.
-                WireMode::Text => WireConn::Text(text),
-                WireMode::Binary | WireMode::Auto => {
-                    // Negotiation runs per fresh connection, so each
-                    // address in the failover list gets its own verdict.
-                    let (mut writer, mut reader) = text.into_parts();
-                    match negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY)? {
-                        Negotiated::Version(v) if v >= WIRE_VERSION_BINARY => {
-                            WireConn::Binary(BinaryConn::new(writer, reader))
-                        }
-                        // The server spoke HELLO but settled on text, or
-                        // is a legacy server that answered ERROR.
-                        Negotiated::Version(_) | Negotiated::LegacyText => {
-                            if self.wire == WireMode::Binary {
-                                // Forced binary: classified Permanent
-                                // (InvalidData), so the retry loop
-                                // surfaces it instead of burning backoff
-                                // against a server that cannot comply.
-                                return Err(io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!(
-                                        "server {} cannot speak the binary wire (--wire binary)",
-                                        self.addrs[self.current]
-                                    ),
-                                ));
-                            }
-                            WireConn::Text(TcpTransport::from_parts(writer, reader))
-                        }
-                    }
-                }
-            };
-            transport_metrics().negotiated.set(match conn {
-                WireConn::Text(_) => WIRE_VERSION_TEXT as i64,
-                WireConn::Binary(_) => WIRE_VERSION_BINARY as i64,
-            });
+            // Negotiation runs per fresh connection, so each address in
+            // the failover list gets its own verdict.
+            let conn =
+                TcpTransport::dial(&self.addrs[self.current], self.wire, Some(self.timeout))?;
+            transport_metrics()
+                .negotiated
+                .set(i64::from(conn.version()));
             self.conn = Some(conn);
         }
         Ok(self.conn.as_mut().expect("just connected"))
@@ -637,6 +580,120 @@ mod tests {
         );
         assert_eq!(t.current_addr(), live.to_string());
         h.join().unwrap();
+    }
+
+    /// A one-connection server stub that records every request it reads
+    /// and answers each `SYNC` with `ACK <have>`. As a v2 server it
+    /// answers `HELLO` with `HELLO 2` and reads binary frames from then
+    /// on; as a legacy server it answers `ERROR` to the verb it does not
+    /// know and stays in text. It accepts a single connection, so a
+    /// transport that redialed would be refused.
+    fn stub_server(v2: bool) -> (String, std::thread::JoinHandle<Vec<ClientMsg>>) {
+        use std::io::{BufReader, Read};
+        use uucs_protocol::wire::{read_client_msg, write_server_msg};
+        use uucs_wire::frame::{try_read_client_frame, write_server_frame};
+        use uucs_wire::FrameRead;
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let h = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            drop(listener);
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut seen = Vec::new();
+            let mut binary = false;
+            loop {
+                let (req_id, msg) = if binary {
+                    let mut frame = vec![0u8; 8];
+                    if reader.read_exact(&mut frame).is_err() {
+                        break;
+                    }
+                    let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+                    frame.resize(8 + len, 0);
+                    reader.read_exact(&mut frame[8..]).unwrap();
+                    match try_read_client_frame(&frame).unwrap() {
+                        FrameRead::Msg { req_id, msg, .. } => (Some(req_id), msg),
+                        other => panic!("{other:?}"),
+                    }
+                } else {
+                    match read_client_msg(&mut reader) {
+                        Ok(Some(msg)) => (None, msg),
+                        _ => break,
+                    }
+                };
+                seen.push(msg.clone());
+                let reply = match msg {
+                    ClientMsg::Hello { .. } if v2 => ServerMsg::Hello { version: 2 },
+                    ClientMsg::Hello { .. } => ServerMsg::Error("unknown message HELLO".into()),
+                    ClientMsg::Sync { have, .. } => ServerMsg::Ack(have),
+                    ClientMsg::Bye => break,
+                    other => panic!("unexpected {other:?}"),
+                };
+                match req_id {
+                    Some(id) => write_server_frame(&mut writer, id, &reply).unwrap(),
+                    None => write_server_msg(&mut writer, &reply).unwrap(),
+                }
+                binary |= matches!(reply, ServerMsg::Hello { .. });
+            }
+            seen
+        });
+        (addr, h)
+    }
+
+    /// Every wire mode against a v2 server and a legacy one: `Text`
+    /// never sends `HELLO`; `Auto` settles on the best common version
+    /// and keeps using the negotiated socket; `Binary` against a legacy
+    /// server fails `InvalidData` at once, with no backoff sleep.
+    #[test]
+    fn wire_mode_matrix_against_v2_and_legacy_servers() {
+        let sync = |have: usize| ClientMsg::Sync {
+            client: "c".into(),
+            have,
+            want: 1,
+        };
+        for (mode, v2, settles_on) in [
+            (WireMode::Text, true, Some(1)),
+            (WireMode::Text, false, Some(1)),
+            (WireMode::Auto, true, Some(2)),
+            (WireMode::Auto, false, Some(1)),
+            (WireMode::Binary, true, Some(2)),
+            (WireMode::Binary, false, None),
+        ] {
+            let server_kind = if v2 { "v2" } else { "legacy" };
+            let case = format!("{mode} against a {server_kind} server");
+            let (addr, server) = stub_server(v2);
+            let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
+            let rec = slept.clone();
+            let mut t = ResilientTransport::new(addr)
+                .with_timeout(Duration::from_secs(5))
+                .with_wire_mode(mode)
+                .with_sleeper(Box::new(move |d| rec.lock().unwrap().push(d)));
+            let first = t.exchange(&sync(1));
+            match settles_on {
+                Some(version) => {
+                    assert_eq!(first.unwrap(), ServerMsg::Ack(1), "{case}");
+                    assert_eq!(t.negotiated_wire(), Some(version), "{case}");
+                    assert_eq!(t.exchange(&sync(2)).unwrap(), ServerMsg::Ack(2), "{case}");
+                    t.bye();
+                }
+                None => {
+                    let err = first.unwrap_err();
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
+                    assert!(!t.is_connected(), "{case}");
+                }
+            }
+            assert!(slept.lock().unwrap().is_empty(), "{case} slept");
+            drop(t);
+            let seen = server.join().unwrap();
+            let hello = matches!(seen.first(), Some(ClientMsg::Hello { .. }));
+            assert_eq!(hello, mode != WireMode::Text, "{case}: {seen:?}");
+            let syncs = seen
+                .iter()
+                .filter(|m| matches!(m, ClientMsg::Sync { .. }))
+                .count();
+            assert_eq!(syncs, if settles_on.is_some() { 2 } else { 0 }, "{case}");
+        }
     }
 
     /// With every address refusing, the transport must not spin on the

@@ -317,37 +317,41 @@ impl ServerMsg {
     }
 }
 
-/// Writes a client message to a stream.
+/// Writes a client message to a stream in one `write`. The message is
+/// built in memory first: on a `TCP_NODELAY` socket every `write` leaves
+/// as its own segment.
 pub fn write_client_msg(w: &mut impl Write, msg: &ClientMsg) -> std::io::Result<()> {
+    use std::fmt::Write as _;
+    let mut out = String::new();
     match msg {
-        ClientMsg::Hello { version } => {
-            writeln!(w, "HELLO {version}")?;
-        }
+        ClientMsg::Hello { version } => writeln!(out, "HELLO {version}"),
         ClientMsg::Register { snapshot, token } => {
-            if token.is_empty() {
-                writeln!(w, "REGISTER")?;
+            let header = if token.is_empty() {
+                writeln!(out, "REGISTER")
             } else {
-                writeln!(w, "REGISTER {token}")?;
-            }
-            w.write_all(snapshot.emit().as_bytes())?;
+                writeln!(out, "REGISTER {token}")
+            };
+            out.push_str(&snapshot.emit());
+            header
         }
-        ClientMsg::Sync { client, have, want } => {
-            writeln!(w, "SYNC {client} {have} {want}")?;
-        }
+        ClientMsg::Sync { client, have, want } => writeln!(out, "SYNC {client} {have} {want}"),
         ClientMsg::Upload {
             client,
             seq,
             records,
         } => {
-            writeln!(w, "UPLOAD {client} {} {seq}", records.len())?;
-            w.write_all(RunRecord::emit_many(records).as_bytes())?;
+            let header = writeln!(out, "UPLOAD {client} {} {seq}", records.len());
+            for record in records {
+                record.emit_into(&mut out);
+            }
+            header
         }
         ClientMsg::Model { resource, task } => match task {
             Some(task) => {
                 check_token("MODEL task", task)?;
-                writeln!(w, "MODEL {resource} {task}")?;
+                writeln!(out, "MODEL {resource} {task}")
             }
-            None => writeln!(w, "MODEL {resource}")?,
+            None => writeln!(out, "MODEL {resource}"),
         },
         ClientMsg::ModelDelta {
             resource,
@@ -368,7 +372,7 @@ pub fn write_client_msg(w: &mut impl Write, msg: &ClientMsg) -> std::io::Result<
                 }
                 None => "-",
             };
-            writeln!(w, "MODELDELTA {resource} {task} {since} {basecrc}")?;
+            writeln!(out, "MODELDELTA {resource} {task} {since} {basecrc}")
         }
         ClientMsg::Advice {
             resource,
@@ -377,30 +381,38 @@ pub fn write_client_msg(w: &mut impl Write, msg: &ClientMsg) -> std::io::Result<
         } => {
             check_token("ADVICE task", task)?;
             check_epsilon(*epsilon)?;
-            writeln!(w, "ADVICE {resource} {task} {epsilon}")?;
+            writeln!(out, "ADVICE {resource} {task} {epsilon}")
         }
         ClientMsg::Stats { reset } => {
             if *reset {
-                writeln!(w, "STATS RESET")?;
+                writeln!(out, "STATS RESET")
             } else {
-                writeln!(w, "STATS")?;
+                writeln!(out, "STATS")
             }
         }
-        ClientMsg::Bye => writeln!(w, "BYE")?,
+        ClientMsg::Bye => writeln!(out, "BYE"),
     }
+    .expect("formatting into a String cannot fail");
+    w.write_all(out.as_bytes())?;
     w.flush()
 }
 
-/// Writes a server message to a stream.
+/// Writes a server message to a stream in one `write`, built in memory
+/// first like [`write_client_msg`].
 pub fn write_server_msg(w: &mut impl Write, msg: &ServerMsg) -> std::io::Result<()> {
+    use std::fmt::Write as _;
+    let mut out = String::new();
     match msg {
-        ServerMsg::Hello { version } => writeln!(w, "HELLO {version}")?,
-        ServerMsg::Id { id, applied_seq } => writeln!(w, "ID {id} {applied_seq}")?,
+        ServerMsg::Hello { version } => writeln!(out, "HELLO {version}"),
+        ServerMsg::Id { id, applied_seq } => writeln!(out, "ID {id} {applied_seq}"),
         ServerMsg::Testcases(tcs) => {
-            writeln!(w, "TESTCASES {}", tcs.len())?;
-            w.write_all(tcformat::emit_many(tcs).as_bytes())?;
+            let header = writeln!(out, "TESTCASES {}", tcs.len());
+            for tc in tcs {
+                tcformat::emit_into(tc, &mut out);
+            }
+            header
         }
-        ServerMsg::Ack(n) => writeln!(w, "ACK {n}")?,
+        ServerMsg::Ack(n) => writeln!(out, "ACK {n}"),
         ServerMsg::Model {
             epoch,
             observed,
@@ -410,7 +422,7 @@ pub fn write_server_msg(w: &mut impl Write, msg: &ServerMsg) -> std::io::Result<
             // The sketch encoding is one whitespace-free token by
             // construction; anything else would tear the frame.
             check_token("MODEL sketch", sketch)?;
-            writeln!(w, "MODEL {epoch} {observed} {censored} {sketch}")?;
+            writeln!(out, "MODEL {epoch} {observed} {censored} {sketch}")
         }
         ServerMsg::ModelDelta {
             epoch,
@@ -420,13 +432,13 @@ pub fn write_server_msg(w: &mut impl Write, msg: &ServerMsg) -> std::io::Result<
             // The delta encoding is one whitespace-free token by
             // construction; anything else would tear the frame.
             check_token("MODELDELTA delta", delta)?;
-            writeln!(w, "MODELDELTA {epoch} {since} {delta}")?;
+            writeln!(out, "MODELDELTA {epoch} {since} {delta}")
         }
         ServerMsg::Advice { epoch, level } => {
             if !level.is_finite() {
                 return Err(proto_err("ADVICE level must be finite"));
             }
-            writeln!(w, "ADVICE {epoch} {level}")?;
+            writeln!(out, "ADVICE {epoch} {level}")
         }
         ServerMsg::Stats(json) => {
             // The snapshot is one line by construction; a stray newline
@@ -434,10 +446,12 @@ pub fn write_server_msg(w: &mut impl Write, msg: &ServerMsg) -> std::io::Result<
             if json.contains('\n') {
                 return Err(proto_err("STATS payload must be a single line"));
             }
-            writeln!(w, "STATS {json}")?;
+            writeln!(out, "STATS {json}")
         }
-        ServerMsg::Error(e) => writeln!(w, "ERROR {e}")?,
+        ServerMsg::Error(e) => writeln!(out, "ERROR {e}"),
     }
+    .expect("formatting into a String cannot fail");
+    w.write_all(out.as_bytes())?;
     w.flush()
 }
 
@@ -1239,6 +1253,121 @@ mod tests {
         );
         roundtrip_server(ServerMsg::Testcases(vec![tc.clone(), tc]));
         roundtrip_server(ServerMsg::Testcases(vec![]));
+    }
+
+    /// A `Write` that counts the `write` calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every message variant, block-carrying ones included, reaches the
+    /// stream in exactly one `write` — one segment on a `TCP_NODELAY`
+    /// socket — and the bytes still read back as the message.
+    #[test]
+    fn every_message_leaves_in_one_write() {
+        let snapshot = MachineSnapshot::study_machine("m1");
+        let tc = uucs_testcase::Testcase::single(
+            "x",
+            1.0,
+            Resource::Disk,
+            ExerciseSpec::Ramp {
+                level: 5.0,
+                duration: 120.0,
+            },
+        );
+        let client = [
+            ClientMsg::Hello { version: 2 },
+            ClientMsg::register(snapshot.clone()),
+            ClientMsg::Register {
+                snapshot,
+                token: "tok".into(),
+            },
+            ClientMsg::Sync {
+                client: "c1".into(),
+                have: 3,
+                want: 9,
+            },
+            ClientMsg::Upload {
+                client: "c1".into(),
+                seq: 4,
+                records: vec![record(), record()],
+            },
+            ClientMsg::Model {
+                resource: Resource::Cpu,
+                task: None,
+            },
+            ClientMsg::Model {
+                resource: Resource::Cpu,
+                task: Some("Word".into()),
+            },
+            ClientMsg::ModelDelta {
+                resource: Resource::Memory,
+                task: Some("Quake".into()),
+                since: 3,
+                basecrc: 77,
+            },
+            ClientMsg::Advice {
+                resource: Resource::Disk,
+                task: "IE".into(),
+                epsilon: 0.25,
+            },
+            ClientMsg::Stats { reset: false },
+            ClientMsg::Stats { reset: true },
+            ClientMsg::Bye,
+        ];
+        for msg in client {
+            let mut w = CountingWriter::default();
+            write_client_msg(&mut w, &msg).unwrap();
+            assert_eq!(w.writes, 1, "{msg:?}");
+            let got = read_client_msg(&mut Cursor::new(w.bytes)).unwrap();
+            assert_eq!(got, Some(msg));
+        }
+        let server = [
+            ServerMsg::Hello { version: 2 },
+            ServerMsg::Id {
+                id: "guid-42".into(),
+                applied_seq: 17,
+            },
+            ServerMsg::Testcases(vec![tc.clone(), tc]),
+            ServerMsg::Ack(7),
+            ServerMsg::Model {
+                epoch: 4,
+                observed: 5,
+                censored: 1,
+                sketch: sketch_token(5, 1),
+            },
+            ServerMsg::ModelDelta {
+                epoch: 6,
+                since: 4,
+                delta: delta_token(5, 1, 3),
+            },
+            ServerMsg::Advice {
+                epoch: 4,
+                level: 0.75,
+            },
+            ServerMsg::Stats("{\"counters\":{}}".into()),
+            ServerMsg::Error("nope".into()),
+        ];
+        for msg in server {
+            let mut w = CountingWriter::default();
+            write_server_msg(&mut w, &msg).unwrap();
+            assert_eq!(w.writes, 1, "{msg:?}");
+            assert_eq!(read_server_msg(&mut Cursor::new(w.bytes)).unwrap(), msg);
+        }
     }
 
     #[test]

@@ -382,10 +382,13 @@ impl UucsServer {
     pub fn add_testcase(&self, tc: uucs_testcase::Testcase) -> Result<(), StoreError> {
         let shard = self.stores.testcases.shard_for(tc.id.as_str());
         let mut guard = self.stores.testcases.write_recovered(shard);
-        guard.add(tc.clone())?;
+        let shipped = self.replication.get().map(|_| tc.clone());
+        guard.add(tc)?;
         let lsn = guard.wal_next_lsn();
         drop(guard);
-        self.replicate(&WalEntry::Testcase(tc))?;
+        if let Some(tc) = shipped {
+            self.replicate(|| WalEntry::Testcase(tc))?;
+        }
         if let Some(ticket) = self.ticket(StoreFlavor::Testcases, shard, lsn) {
             self.committer
                 .as_ref()
@@ -526,10 +529,10 @@ impl UucsServer {
     /// `Batch` entries are synthetic — the client's full record set at
     /// its current sequence horizon — so a follower holding partial
     /// state (it was tailing the old leader before the seam) must
-    /// absorb them record-by-record: records it already applied are
-    /// skipped by equality, the rest append, and the horizon jumps to
-    /// the snapshot's sequence. All other entries apply as in
-    /// [`UucsServer::apply_entry`].
+    /// absorb them record-by-record: each record it already holds for
+    /// that client absorbs one equal snapshot record, the rest append,
+    /// and the horizon jumps to the snapshot's sequence. All other
+    /// entries apply as in [`UucsServer::apply_entry`].
     pub fn apply_snapshot_entry(&self, entry: &WalEntry) -> std::io::Result<()> {
         let WalEntry::Batch {
             client,
@@ -544,9 +547,23 @@ impl UucsServer {
         if results.applied_seq(client) >= *seq {
             return Ok(());
         }
+        // Multiset difference against this client's own records, so
+        // repeated records keep every copy. The held records are usually
+        // a prefix of the snapshot's: matches come off the front, O(1).
+        let mut held: VecDeque<_> = results
+            .all()
+            .iter()
+            .filter(|r| r.client == *client)
+            .collect();
         let fresh: Vec<_> = records
             .iter()
-            .filter(|r| !results.all().iter().any(|have| have == *r))
+            .filter(|r| match held.iter().position(|h| h == r) {
+                Some(i) => {
+                    held.remove(i);
+                    false
+                }
+                None => true,
+            })
             .cloned()
             .collect();
         results.append_batch(client, *seq, fresh)?;
@@ -673,12 +690,13 @@ impl UucsServer {
         (reply, ticket)
     }
 
-    /// Mirrors one committed mutation to the replication sink, if any.
-    /// Counted on failure; under quorum ack the error propagates so the
-    /// client is *not* acked for an entry no follower holds.
-    fn replicate(&self, entry: &WalEntry) -> std::io::Result<()> {
+    /// Mirrors one committed mutation to the replication sink, if any;
+    /// the entry is built only when a sink is installed. Under quorum
+    /// ack the error propagates so the client is *not* acked for an
+    /// entry no follower holds.
+    fn replicate(&self, entry: impl FnOnce() -> WalEntry) -> std::io::Result<()> {
         match self.replication.get() {
-            Some(sink) => sink.replicate(entry),
+            Some(sink) => sink.replicate(&entry()),
             None => Ok(()),
         }
     }
@@ -950,7 +968,7 @@ impl UucsServer {
                 let len = reg.len();
                 drop(reg);
                 self.shard_gauges.registry[shard].set(len as i64);
-                if let Err(e) = self.replicate(&WalEntry::Client {
+                if let Err(e) = self.replicate(|| WalEntry::Client {
                     id: id.clone(),
                     token: token.to_string(),
                     snapshot: snapshot.clone(),
@@ -1024,7 +1042,7 @@ impl UucsServer {
                 // applied — a replayed retransmit was already shipped
                 // the first time around.
                 if matches!(status, BatchStatus::Applied(_)) {
-                    if let Err(e) = self.replicate(&WalEntry::Batch {
+                    if let Err(e) = self.replicate(|| WalEntry::Batch {
                         client: client.to_string(),
                         seq,
                         records: records.to_vec(),
@@ -1097,6 +1115,49 @@ mod tests {
             ServerMsg::Id { id, .. } => id,
             other => panic!("expected Id, got {other:?}"),
         }
+    }
+
+    /// Snapshot backfill keeps a client's legitimately repeated records:
+    /// the leader holds `R` under seq 1 and again under seq 2, the
+    /// follower applied only seq 1, and absorbing the leader's snapshot
+    /// leaves it both copies and the seq-2 horizon.
+    #[test]
+    fn snapshot_backfill_keeps_repeated_records() {
+        use uucs_protocol::{MonitorSummary, RunOutcome, RunRecord};
+        let leader = UucsServer::new(library(1), 1);
+        let follower = UucsServer::new(library(1), 1);
+        let id = register(&leader);
+        let r = RunRecord {
+            client: id.clone(),
+            user: "u".into(),
+            testcase: "tc-000".into(),
+            task: "Word".into(),
+            skill: "Typical".into(),
+            outcome: RunOutcome::Exhausted,
+            offset_secs: 10.0,
+            last_levels: vec![],
+            monitor: MonitorSummary::default(),
+        };
+        for seq in 1..=2 {
+            let upload = ClientMsg::Upload {
+                client: id.clone(),
+                seq,
+                records: vec![r.clone()],
+            };
+            assert_eq!(leader.handle(&upload), ServerMsg::Ack(1));
+        }
+        follower
+            .apply_entry(&WalEntry::Batch {
+                client: id.clone(),
+                seq: 1,
+                records: vec![r],
+            })
+            .unwrap();
+        for entry in leader.export_entries() {
+            follower.apply_snapshot_entry(&entry).unwrap();
+        }
+        assert_eq!(follower.result_count(), 2);
+        assert_eq!(follower.applied_seq(&id), 2);
     }
 
     #[test]

@@ -520,56 +520,37 @@ impl PoolConn {
         // the reply is serialized in text first, then every later byte
         // on the connection is a binary frame.
         while self.takes_input() && !self.inbuf.is_empty() {
-            if self.wire.binary {
-                match try_read_client_frame(&self.inbuf) {
-                    Ok(FrameRead::Incomplete) => break,
-                    Ok(FrameRead::Msg {
-                        consumed,
-                        req_id,
-                        msg,
-                    }) => {
-                        self.inbuf.drain(..consumed);
-                        wire_metrics().v2_verbs.inc();
-                        if matches!(msg, ClientMsg::Bye) {
-                            self.closing = true;
-                        } else {
-                            let (reply, ticket) = server.handle_deferred(&msg);
-                            self.queue_reply(Some(req_id), ticket, reply);
-                        }
-                        progressed = true;
-                    }
-                    // An intact frame from the future: answer on the
-                    // same correlation id, keep the connection.
-                    Ok(FrameRead::Unknown {
-                        consumed,
-                        req_id,
-                        opcode,
-                    }) => {
-                        self.inbuf.drain(..consumed);
-                        let reply = ServerMsg::Error(format!(
-                            "unsupported message: unknown opcode {opcode}"
-                        ));
-                        self.queue_reply(Some(req_id), None, reply);
-                        progressed = true;
-                    }
-                    // Corrupt frame: the stream position is unknown.
-                    Err(_) => return Step::Close,
+            match parse_request(&self.inbuf, self.wire.binary) {
+                Parsed::Incomplete => break,
+                Parsed::Blank => {
+                    self.inbuf.clear();
+                    break;
                 }
-                continue;
-            }
-            let mut cursor = Cursor::new(&self.inbuf[..]);
-            let parsed = read_client_msg(&mut cursor);
-            let consumed = cursor.position() as usize;
-            match parsed {
-                Ok(Some(ClientMsg::Bye)) => {
+                Parsed::Corrupt => return Step::Close,
+                Parsed::Request {
+                    consumed,
+                    req_id,
+                    msg,
+                } => {
                     self.inbuf.drain(..consumed);
-                    wire_metrics().v1_verbs.inc();
-                    self.closing = true;
                     progressed = true;
-                }
-                Ok(Some(msg)) => {
-                    self.inbuf.drain(..consumed);
-                    wire_metrics().v1_verbs.inc();
+                    let msg = match msg {
+                        Ok(msg) => msg,
+                        Err(reply) => {
+                            self.queue_reply(req_id, None, reply);
+                            continue;
+                        }
+                    };
+                    // Only binary frames carry a correlation id.
+                    if req_id.is_some() {
+                        wire_metrics().v2_verbs.inc();
+                    } else {
+                        wire_metrics().v1_verbs.inc();
+                    }
+                    if matches!(msg, ClientMsg::Bye) {
+                        self.closing = true;
+                        continue;
+                    }
                     let (reply, ticket) = server.handle_deferred(&msg);
                     // Negotiation: the engine — not the handler — owns
                     // framing, so the flip happens here, after the text
@@ -579,30 +560,11 @@ impl PoolConn {
                         (ClientMsg::Hello { .. }, ServerMsg::Hello { version })
                             if *version >= WIRE_VERSION_BINARY
                     );
-                    self.queue_reply(None, ticket, reply);
+                    self.queue_reply(req_id, ticket, reply);
                     if upgrade {
                         self.wire.upgrade();
                     }
-                    progressed = true;
                 }
-                // Only whitespace left: consumed cleanly.
-                Ok(None) => {
-                    self.inbuf.clear();
-                    break;
-                }
-                // An unknown message tag from a newer client: the read
-                // stopped at a clean line boundary, so report it and
-                // keep serving the connection.
-                Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                    self.inbuf.drain(..consumed);
-                    let reply = ServerMsg::Error(format!("unsupported message: {e}"));
-                    self.queue_reply(None, None, reply);
-                    progressed = true;
-                }
-                // A strict prefix of a valid frame: wait for the rest.
-                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-                // Torn framing: the stream position is unknown. Close.
-                Err(_) => return Step::Close,
             }
         }
 
@@ -615,16 +577,9 @@ impl PoolConn {
         if self.eof && flushed && self.inbuf.is_empty() {
             return Step::Close;
         }
+        // Bytes that can never complete a frame (peer is gone).
         if self.eof && self.pending.is_empty() && !self.inbuf.is_empty() {
-            // Bytes that can never complete a frame (peer is gone).
-            let never_completes = if self.wire.binary {
-                matches!(try_read_client_frame(&self.inbuf), Ok(FrameRead::Incomplete))
-            } else {
-                let mut cursor = Cursor::new(&self.inbuf[..]);
-                matches!(read_client_msg(&mut cursor),
-                         Err(ref e) if e.kind() == std::io::ErrorKind::UnexpectedEof)
-            };
-            if never_completes {
+            if let Parsed::Incomplete = parse_request(&self.inbuf, self.wire.binary) {
                 return Step::Close;
             }
         }
@@ -637,6 +592,70 @@ impl PoolConn {
             }
         }
         Step::Keep { progressed }
+    }
+}
+
+/// One parse of the front of a connection's input buffer.
+enum Parsed {
+    /// A strict prefix of a request: wait for more bytes.
+    Incomplete,
+    /// Only whitespace between text messages: the buffer is done.
+    Blank,
+    /// Damaged framing: the stream position is unknown, so close.
+    Corrupt,
+    /// `consumed` bytes held one request: `Ok` to handle, or `Err` with
+    /// the `ERROR` for a well-framed request from a newer client (the
+    /// connection goes on). `req_id` is the binary correlation id.
+    Request {
+        consumed: usize,
+        req_id: Option<u32>,
+        msg: Result<ClientMsg, ServerMsg>,
+    },
+}
+
+/// The front end's request parser, for both framings: text (wire v1)
+/// or, once negotiated, binary frames (wire v2).
+fn parse_request(buf: &[u8], binary: bool) -> Parsed {
+    if binary {
+        let (consumed, req_id, msg) = match try_read_client_frame(buf) {
+            Ok(FrameRead::Incomplete) => return Parsed::Incomplete,
+            Err(_) => return Parsed::Corrupt,
+            Ok(FrameRead::Msg {
+                consumed,
+                req_id,
+                msg,
+            }) => (consumed, req_id, Ok(msg)),
+            Ok(FrameRead::Unknown {
+                consumed,
+                req_id,
+                opcode,
+            }) => {
+                let reply = format!("unsupported message: unknown opcode {opcode}");
+                (consumed, req_id, Err(ServerMsg::Error(reply)))
+            }
+        };
+        return Parsed::Request {
+            consumed,
+            req_id: Some(req_id),
+            msg,
+        };
+    }
+    let mut cursor = Cursor::new(buf);
+    let msg = match read_client_msg(&mut cursor) {
+        Ok(Some(msg)) => Ok(msg),
+        Ok(None) => return Parsed::Blank,
+        // An unknown message tag: the read stopped at a clean line
+        // boundary, so the connection can go on.
+        Err(e) if e.kind() == ErrorKind::Unsupported => {
+            Err(ServerMsg::Error(format!("unsupported message: {e}")))
+        }
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Parsed::Incomplete,
+        Err(_) => return Parsed::Corrupt,
+    };
+    Parsed::Request {
+        consumed: cursor.position() as usize,
+        req_id: None,
+        msg,
     }
 }
 

@@ -25,12 +25,11 @@
 //! recorded and the report comes back partial with
 //! [`FleetReport::interrupted`] set.
 
-use std::io::{self, BufReader};
-use std::net::TcpStream;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use uucs_protocol::wire::{read_server_msg, write_client_msg};
+use uucs_client::{ClientTransport, TcpTransport};
 use uucs_protocol::{ClientMsg, MachineSnapshot, MonitorSummary, RunOutcome, RunRecord, ServerMsg};
 use uucs_cluster::{AckMode, ClusterConfig, ClusterNode, Role};
 use uucs_server::tcp::{self, ServeConfig};
@@ -38,8 +37,6 @@ use uucs_server::{StoreSet, UucsServer};
 use uucs_telemetry::metrics;
 use uucs_testcase::{ExerciseSpec, Resource, Testcase};
 use uucs_wal::{SyncPolicy, WalConfig};
-use uucs_wire::conn::{negotiate, Negotiated};
-use uucs_wire::frame::{read_server_frame, write_client_frame};
 use uucs_wire::WireMode;
 use uucs_protocol::WIRE_VERSION_BINARY;
 
@@ -180,69 +177,27 @@ struct FleetConn {
     current: usize,
     name: String,
     wire: WireMode,
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    transport: TcpTransport,
     id: String,
     seq: u64,
     alive: bool,
     /// Replies owed on this connection. Text connections never owe more
     /// than one; binary connections owe up to the pipeline depth.
     pending: u32,
-    /// Connection speaks wire v2 binary frames (negotiated at dial).
-    binary: bool,
-    /// Next request id to stamp on a binary frame.
-    next_req: u32,
-    /// Request id the next reply must carry (the server redeems FIFO).
-    ack_req: u32,
 }
 
 impl FleetConn {
-    /// Dials one address: negotiates the wire (per address — a legacy
-    /// follower behind a v2 leader still gets text), registers `name`'s
-    /// token, and returns the sockets, the negotiated framing, the
-    /// resolved GUID, and the seq to resume from (the server's applied
-    /// horizon, never below `seq_floor`).
-    fn dial(
-        addr: &str,
-        name: &str,
-        wire: WireMode,
-        seq_floor: u64,
-    ) -> io::Result<(TcpStream, BufReader<TcpStream>, bool, String, u64)> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
-        let binary = match wire {
-            WireMode::Text => false,
-            WireMode::Binary | WireMode::Auto => {
-                match negotiate(&mut writer, &mut reader, WIRE_VERSION_BINARY)? {
-                    Negotiated::Version(v) if v >= WIRE_VERSION_BINARY => true,
-                    _ if matches!(wire, WireMode::Binary) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("server {addr} cannot speak the binary wire"),
-                        ));
-                    }
-                    _ => false,
-                }
-            }
-        };
-        let register = ClientMsg::Register {
+    /// Dials one address, negotiating the wire per address (a legacy
+    /// follower behind a v2 leader still gets text), and registers
+    /// `name`'s token: the transport, the resolved GUID, and the
+    /// server's applied upload horizon.
+    fn register(addr: &str, name: &str, wire: WireMode) -> io::Result<(TcpTransport, String, u64)> {
+        let mut transport = TcpTransport::dial(addr, wire, Some(Duration::from_secs(30)))?;
+        match transport.exchange(&ClientMsg::Register {
             snapshot: MachineSnapshot::study_machine(name),
             token: format!("fleet-token-{name}"),
-        };
-        let reply = if binary {
-            write_client_frame(&mut writer, 0, &register)?;
-            read_server_frame(&mut reader)?.1
-        } else {
-            write_client_msg(&mut writer, &register)?;
-            read_server_msg(&mut reader)?
-        };
-        match reply {
-            ServerMsg::Id { id, applied_seq } => {
-                Ok((writer, reader, binary, id, applied_seq.max(seq_floor)))
-            }
+        })? {
+            ServerMsg::Id { id, applied_seq } => Ok((transport, id, applied_seq)),
             // A read-only replica answers `not leader`: to the dialer
             // that address is simply not accepting yet.
             other => Err(io::Error::new(
@@ -252,61 +207,57 @@ impl FleetConn {
         }
     }
 
-    fn connect(addrs: Vec<String>, name: &str, wire: WireMode) -> io::Result<Self> {
+    /// Registers at the first address that accepts, trying each once in
+    /// ring order from index `first`. Returns that index, the transport,
+    /// the GUID, and the seq to resume from (never below `seq_floor`).
+    fn dial(
+        addrs: &[String],
+        first: usize,
+        name: &str,
+        wire: WireMode,
+        seq_floor: u64,
+    ) -> io::Result<(usize, TcpTransport, String, u64)> {
         let mut last: Option<io::Error> = None;
-        for (i, addr) in addrs.iter().enumerate() {
-            match Self::dial(addr, name, wire, 0) {
-                Ok((writer, reader, binary, id, seq)) => {
-                    return Ok(FleetConn {
-                        current: i,
-                        name: name.to_string(),
-                        wire,
-                        addrs,
-                        writer,
-                        reader,
-                        id,
-                        seq,
-                        alive: true,
-                        pending: 0,
-                        binary,
-                        next_req: 1,
-                        ack_req: 1,
-                    })
-                }
+        for hop in 0..addrs.len() {
+            let i = (first + hop) % addrs.len();
+            match Self::register(&addrs[i], name, wire) {
+                Ok((transport, id, seq)) => return Ok((i, transport, id, seq.max(seq_floor))),
                 Err(e) => last = Some(e),
             }
         }
-        Err(last
-            .unwrap_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "no address")))
+        Err(last.unwrap_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "no address")))
     }
 
-    /// One failover pass: every address tried once, next one first.
-    /// `Ok(true)` means the client came back on a *different* address.
+    fn connect(addrs: Vec<String>, name: &str, wire: WireMode) -> io::Result<Self> {
+        let (current, transport, id, seq) = Self::dial(&addrs, 0, name, wire, 0)?;
+        Ok(FleetConn {
+            addrs,
+            current,
+            name: name.to_string(),
+            wire,
+            transport,
+            id,
+            seq,
+            alive: true,
+            pending: 0,
+        })
+    }
+
+    /// One failover pass for a dead connection: every address tried
+    /// once, next one first. `Ok(true)` means the client came back on a
+    /// *different* address.
     fn reconnect(&mut self) -> io::Result<bool> {
-        let n = self.addrs.len();
-        let mut last: Option<io::Error> = None;
-        for hop in 0..n {
-            let i = (self.current + 1 + hop) % n;
-            match Self::dial(&self.addrs[i], &self.name, self.wire, self.seq) {
-                Ok((writer, reader, binary, id, seq)) => {
-                    let moved = i != self.current;
-                    self.current = i;
-                    self.writer = writer;
-                    self.reader = reader;
-                    self.binary = binary;
-                    self.id = id;
-                    self.seq = seq;
-                    self.alive = true;
-                    self.pending = 0;
-                    self.next_req = 1;
-                    self.ack_req = 1;
-                    return Ok(moved);
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        self.alive = false;
-        Err(last.unwrap_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "no address")))
+        let next = self.current + 1;
+        let (i, transport, id, seq) =
+            Self::dial(&self.addrs, next, &self.name, self.wire, self.seq)?;
+        let moved = i != self.current;
+        self.current = i;
+        self.transport = transport;
+        self.id = id;
+        self.seq = seq;
+        self.alive = true;
+        self.pending = 0;
+        Ok(moved)
     }
 
     fn send_upload(&mut self, batch: usize) -> io::Result<()> {
@@ -324,58 +275,28 @@ impl FleetConn {
                 monitor: MonitorSummary::default(),
             })
             .collect();
-        let upload = ClientMsg::Upload {
+        self.transport.send(&ClientMsg::Upload {
             client: self.id.clone(),
             seq: self.seq,
             records,
-        };
-        if self.binary {
-            let req = self.next_req;
-            self.next_req = self.next_req.wrapping_add(1);
-            write_client_frame(&mut self.writer, req, &upload)
-        } else {
-            write_client_msg(&mut self.writer, &upload)
-        }
+        })
     }
 
     fn recv_ack(&mut self) -> io::Result<bool> {
-        if self.binary {
-            let (req, msg) = read_server_frame(&mut self.reader)?;
-            let expected = self.ack_req;
-            self.ack_req = self.ack_req.wrapping_add(1);
-            Ok(req == expected && matches!(msg, ServerMsg::Ack(_)))
-        } else {
-            Ok(matches!(
-                read_server_msg(&mut self.reader)?,
-                ServerMsg::Ack(_)
-            ))
-        }
-    }
-
-    fn bye(&mut self) {
-        let _ = if self.binary {
-            write_client_frame(&mut self.writer, self.next_req, &ClientMsg::Bye)
-        } else {
-            write_client_msg(&mut self.writer, &ClientMsg::Bye)
-        };
+        Ok(matches!(self.transport.recv()?, ServerMsg::Ack(_)))
     }
 }
 
 /// Pulls the server's metrics snapshot over the wire and extracts the
 /// p99 of one histogram, in microseconds.
 fn stats_p99_us(addr: &str, hist: &str) -> Option<u64> {
-    let stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .ok()?;
-    let mut writer = stream.try_clone().ok()?;
-    let mut reader = BufReader::new(stream);
-    write_client_msg(&mut writer, &ClientMsg::Stats { reset: false }).ok()?;
-    let json = match read_server_msg(&mut reader).ok()? {
-        ServerMsg::Stats(json) => json,
-        _ => return None,
-    };
-    hist_p99_ns(&json, hist).map(|ns| ns / 1000)
+    let mut transport =
+        TcpTransport::dial(addr, WireMode::Text, Some(Duration::from_secs(10))).ok()?;
+    let ask = ClientMsg::Stats { reset: false };
+    match transport.exchange(&ask).ok()? {
+        ServerMsg::Stats(json) => hist_p99_ns(&json, hist).map(|ns| ns / 1000),
+        _ => None,
+    }
 }
 
 /// Extracts `"name":{..."p99_ns":N...}` from the snapshot JSON with a
@@ -505,13 +426,7 @@ pub fn run(config: &FleetConfig) -> io::Result<FleetReport> {
 
     // Reset the server's verb/commit telemetry so STATS reflects only
     // the measured window.
-    {
-        let stream = TcpStream::connect(&addr)?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
-        write_client_msg(&mut writer, &ClientMsg::Stats { reset: true })?;
-        let _ = read_server_msg(&mut reader)?;
-    }
+    TcpTransport::connect(&addr)?.exchange(&ClientMsg::Stats { reset: true })?;
 
     // Phase 2: pipelined upload rounds until the deadline. A worker
     // writes an upload on every live connection of its slice, then
@@ -550,7 +465,7 @@ pub fn run(config: &FleetConfig) -> io::Result<FleetReport> {
                         }
                         // A binary connection keeps `pipeline` uploads
                         // in flight; text keeps the legacy depth of 1.
-                        let depth = if conn.binary {
+                        let depth = if conn.transport.version() >= WIRE_VERSION_BINARY {
                             config.pipeline.clamp(1, uucs_wire::MAX_PIPELINE) as u32
                         } else {
                             1
@@ -626,7 +541,7 @@ pub fn run(config: &FleetConfig) -> io::Result<FleetReport> {
     };
     for slice in &mut slices {
         for conn in slice.iter_mut() {
-            conn.bye();
+            let _ = conn.transport.bye();
         }
     }
     drop(slices);

@@ -1,10 +1,8 @@
-//! Client-side connection pieces: the `--wire` mode knob, the text
-//! `HELLO` negotiation, and a negotiated binary connection.
+//! Client-side connection pieces: the `--wire` mode knob and the text
+//! `HELLO` negotiation.
 
-use crate::frame::{read_server_frame, write_client_frame};
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, Write};
 use std::str::FromStr;
 use uucs_protocol::wire::{read_server_msg, write_client_msg};
 use uucs_protocol::{ClientMsg, ServerMsg, WIRE_VERSION_TEXT};
@@ -91,72 +89,6 @@ pub fn negotiate(
             io::ErrorKind::InvalidData,
             format!("unexpected HELLO reply {other:?}"),
         )),
-    }
-}
-
-/// A connection that has negotiated [`WIRE_VERSION_BINARY`]: framed,
-/// CRC-checked, and pipelinable (request ids correlate replies).
-#[derive(Debug)]
-pub struct BinaryConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    next_req: u32,
-}
-
-impl BinaryConn {
-    /// Wraps an already-negotiated stream pair (the write half and the
-    /// buffered read half of one socket).
-    pub fn new(writer: TcpStream, reader: BufReader<TcpStream>) -> BinaryConn {
-        BinaryConn {
-            writer,
-            reader,
-            next_req: 1,
-        }
-    }
-
-    /// The underlying socket (for deadlines and shutdown).
-    pub fn stream(&self) -> &TcpStream {
-        &self.writer
-    }
-
-    /// Sends one request and returns its request id (to pair with a
-    /// later [`BinaryConn::recv`] — callers may pipeline several sends
-    /// before receiving).
-    pub fn send(&mut self, msg: &ClientMsg) -> io::Result<u32> {
-        let req_id = self.next_req;
-        // Wrapping: ids only need to be unique within the pipeline
-        // window, not globally; skip 0 so "no request" stays
-        // representable in logs.
-        self.next_req = self.next_req.checked_add(1).unwrap_or(1);
-        write_client_frame(&mut self.writer, req_id, msg)?;
-        Ok(req_id)
-    }
-
-    /// Receives one reply, whichever request it answers.
-    pub fn recv(&mut self) -> io::Result<(u32, ServerMsg)> {
-        read_server_frame(&mut self.reader)
-    }
-
-    /// One strict request/reply exchange: send, then receive, and
-    /// require the reply to answer *this* request (anything else on an
-    /// unpipelined connection means the peer lost framing).
-    pub fn exchange(&mut self, msg: &ClientMsg) -> io::Result<ServerMsg> {
-        let sent = self.send(msg)?;
-        let (req_id, reply) = self.recv()?;
-        if req_id != sent {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("reply correlates request {req_id}, expected {sent}"),
-            ));
-        }
-        Ok(reply)
-    }
-
-    /// Sends `BYE` and shuts the socket down; errors are ignored (the
-    /// session is over either way).
-    pub fn bye(mut self) {
-        let _ = self.send(&ClientMsg::Bye);
-        let _ = self.writer.shutdown(std::net::Shutdown::Both);
     }
 }
 

@@ -33,8 +33,8 @@
 //! crate's versioning notes and `uucs_modelsvc::SketchDelta`.
 //!
 //! The [`conn`] module holds the client-side pieces: [`WireMode`] (the
-//! `--wire text|binary|auto` knob) and [`BinaryConn`] (a negotiated
-//! binary connection with send/recv correlation).
+//! `--wire text|binary|auto` knob) and the `HELLO` negotiation. The
+//! connection that speaks either framing is `uucs_client::TcpTransport`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,7 +43,7 @@ pub mod codec;
 pub mod conn;
 pub mod frame;
 
-pub use conn::{BinaryConn, WireMode};
+pub use conn::WireMode;
 pub use frame::{
     encode_client_frame, encode_server_frame, read_server_frame, try_read_client_frame,
     FrameRead, MAX_WIRE_FRAME,
